@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from . import msize, netcost, serialize, states, twoway
-from .kidecomp import MaximalityError, ki_decompose_tripartite
+from .kidecomp import (MaximalityError, ki_decompose_tripartite,
+                       maximality_check)
 from .locc import CompletenessError, InfeasibleError, simulate
 from .mergesplit import (
     merge_converse_search,
@@ -23,7 +24,7 @@ from .mergesplit import (
     split_min_cost,
     verify_merge_protocol,
 )
-from .qcore import Ket, StateError
+from .qcore import Ket, StateError, reduced_state
 
 SCHEMA = "mergekit-report/1"
 
@@ -125,7 +126,9 @@ def cmd_ki(args, seed):
         "reassembly_residual": resid,
         "refinement_index": ki.partition_a.refinement_index(),
     }
-    checks = {"maximal": True, "reassembly": bool(resid < 1e-8)}
+    maximal = maximality_check(ki.partition_a,
+                               reduced_state(tri, [0, 1]).mat, tri.dims[:2])
+    checks = {"maximal": bool(maximal), "reassembly": bool(resid < 1e-8)}
     return _report("ki", [args.state], results, checks,
                    "block-decomposition-refinement", seed)
 

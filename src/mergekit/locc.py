@@ -9,6 +9,7 @@ all prior outcomes.  Simulation enumerates every branch exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,7 @@ class ProtocolOp:
         mat = np.asarray(mat, dtype=complex)
         in_dims = tuple(int(d) for d in in_dims)
         out_dims = tuple(int(d) for d in out_dims)
-        if mat.shape != (int(np.prod(out_dims)), int(np.prod(in_dims))):
+        if mat.shape != (math.prod(out_dims), math.prod(in_dims)):
             raise ValueError(f"operator shape {mat.shape} does not match "
                              f"{out_dims} x {in_dims}")
         mat = mat.copy()
@@ -129,17 +130,29 @@ class ProtocolOp:
 
 
 def _check_complete(ops, tol=COMPLETENESS_TOL, what="instrument"):
+    """Audit sum_m M_m^dag M_m = 1 for an instrument.
+
+    Returns the operators stacked per (in_dims, out_dims) group, in order of
+    first appearance, as (outcome indices, in_dims, out_dims, stack)."""
     if not ops:
         raise CompletenessError(f"{what} has no operators")
     din = ops[0].mat.shape[1]
+    if any(op.mat.shape[1] != din for op in ops):
+        raise CompletenessError(f"{what} mixes input dimensions")
+    groups = {}
+    for m, op in enumerate(ops):
+        groups.setdefault((op.in_dims, op.out_dims), []).append(m)
+    stacks = []
     acc = np.zeros((din, din), dtype=complex)
-    for op in ops:
-        if op.mat.shape[1] != din:
-            raise CompletenessError(f"{what} mixes input dimensions")
-        acc += op.mat.conj().T @ op.mat
+    for (in_dims, out_dims), idx in groups.items():
+        stack = np.stack([ops[m].mat for m in idx])
+        flat = stack.reshape(-1, din)
+        acc += flat.conj().T @ flat
+        stacks.append((idx, in_dims, out_dims, stack))
     dev = np.max(np.abs(acc - np.eye(din)))
     if dev > tol:
         raise CompletenessError(f"{what} completeness deviates by {dev:.3e}")
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -221,36 +234,38 @@ class SimBranch:
     ownership: tuple = field(default=())
 
 
-def _apply_local(state_amps, state_dims, positions, op: ProtocolOp):
-    """Apply ``op`` to the listed tensor slots.  The output subsystems
-    replace the consumed slots at the position of the first consumed slot.
+def _apply_instrument(amps, dims, positions, groups):
+    """Apply every operator of an instrument to the listed tensor slots.
 
-    Returns (amps, dims, rest) where ``rest`` lists the untouched old slots
-    in order.
-    """
-    positions = list(positions)
-    in_dims = tuple(state_dims[p] for p in positions)
-    if in_dims != op.in_dims:
-        raise ValueError(f"operator input dims {op.in_dims} do not match "
-                         f"state slots {in_dims}")
-    n = len(state_dims)
-    rest = [k for k in range(n) if k not in positions]
-    t = np.transpose(np.asarray(state_amps).reshape(state_dims),
-                     positions + rest)
-    din = int(np.prod(op.in_dims)) if op.in_dims else 1
-    out = op.mat @ t.reshape(din, -1)
-    n_out = len(op.out_dims)
-    rest_dims = [state_dims[k] for k in rest]
-    out = out.reshape(list(op.out_dims) + rest_dims)
-    insert_at = min(positions) if positions else 0
-    before = [k for k in rest if k < insert_at]
-    order = [n_out + rest.index(k) for k in before]
-    order += list(range(n_out))
-    order += [n_out + rest.index(k) for k in rest if k >= insert_at]
-    out = np.transpose(out, order)
-    new_dims = ([state_dims[k] for k in before] + list(op.out_dims)
-                + [state_dims[k] for k in rest if k >= insert_at])
-    return out.reshape(-1), new_dims, rest
+    The input is transposed once to (consumed slots, untouched slots); each
+    group of equal-shape operators is applied as one stacked matmul.  The
+    output subsystems replace the consumed slots at the position of the
+    first consumed slot.  Returns, per outcome in instrument order,
+    (squared norm, normalized amplitudes, new dims)."""
+    rest = [k for k in range(len(dims)) if k not in positions]
+    in_dims = tuple(dims[p] for p in positions)
+    rest_dims = [dims[k] for k in rest]
+    n_before = len([k for k in rest if k < min(positions, default=0)])
+    t = np.transpose(np.asarray(amps).reshape(dims), positions + rest)
+    t = t.reshape(math.prod(in_dims), -1)
+    applied = [None] * sum(len(g[0]) for g in groups)
+    for idx, op_in, op_out, stack in groups:
+        if op_in != in_dims:
+            raise ValueError(f"operator input dims {op_in} do not match "
+                             f"state slots {in_dims}")
+        out = stack @ t
+        norm2 = np.einsum("gij,gij->g", out.conj(), out).real
+        n_out = len(op_out)
+        order = ([0] + [1 + n_out + i for i in range(n_before)]
+                 + [1 + i for i in range(n_out)]
+                 + [1 + n_out + i for i in range(n_before, len(rest))])
+        out = np.transpose(out.reshape((len(idx),) + op_out + tuple(rest_dims)),
+                           order).reshape(len(idx), -1)
+        out /= np.sqrt(np.where(norm2 > 0, norm2, 1.0))[:, None]
+        new_dims = rest_dims[:n_before] + list(op_out) + rest_dims[n_before:]
+        for i, m in enumerate(idx):
+            applied[m] = (float(norm2[i]), out[i], new_dims)
+    return applied, rest, n_before
 
 
 def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
@@ -260,6 +275,12 @@ def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
     sender on the leading subsystems).  Probabilities follow the Born rule;
     branches below ``prune`` are dropped; instruments are audited for
     completeness on every reachable conditioning.
+
+    Each branch's state is transposed once per round and every instrument
+    is applied as one stacked matmul per group of equal-shape operators,
+    with the branch norms computed together.  Branches come out in
+    lexicographic order of their outcome tuples, as a per-operator loop
+    would produce them.
     """
     if isinstance(protocol, OneWayProtocol):
         na = len(protocol.a_ops[0].in_dims)
@@ -289,23 +310,21 @@ def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
             else:
                 raise ValueError(
                     f"no instrument for {rnd.party} conditioned on {outcomes}")
-            ops = rnd.instruments[key]
-            _check_complete(ops, what=f"round for {rnd.party} given {key}")
+            groups = _check_complete(rnd.instruments[key],
+                                     what=f"round for {rnd.party} given {key}")
             positions = [k for k, o in enumerate(owners) if o == rnd.party]
-            insert_at = min(positions) if positions else 0
-            for m, op in enumerate(ops):
-                new_amps, new_dims, rest = _apply_local(amps, dims, positions, op)
-                p = float(np.vdot(new_amps, new_amps).real) * prob
+            applied, rest, n_before = _apply_instrument(amps, dims, positions,
+                                                        groups)
+            rest_owners = [owners[k] for k in rest]
+            for m, (norm2, new_amps, new_dims) in enumerate(applied):
+                p = norm2 * prob
                 if p < prune:
                     continue
-                rest_owners = [owners[k] for k in rest]
-                n_before = len([k for k in rest if k < insert_at])
-                new_owners = (rest_owners[:n_before]
-                              + [rnd.party] * len(op.out_dims)
+                n_new = len(new_dims) - len(rest)
+                new_owners = (rest_owners[:n_before] + [rnd.party] * n_new
                               + rest_owners[n_before:])
                 new_branches.append(
-                    (outcomes + (m,), p,
-                     new_amps / np.linalg.norm(new_amps), new_dims, new_owners))
+                    (outcomes + (m,), p, new_amps, new_dims, new_owners))
         branches = new_branches
 
     total = sum(b[1] for b in branches)

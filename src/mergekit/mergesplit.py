@@ -12,6 +12,7 @@ amplitude on each block, which is what makes the combination exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +25,8 @@ from .locc import (
     OneWayProtocol,
     ProtocolOp,
     _extend_isometry,
-    majorizes,
     one_way_to_locc,
     simulate,
-    spectrum,
     uniform_distill,
 )
 from .qcore import Bipartition, Ket, reduced_state
@@ -169,17 +168,29 @@ def merge_converse_search(psi: Ket, l_max: int = None, k_max: int = None) -> Con
         raise ValueError("caps must be at least 1")
     ev_b = np.clip(np.linalg.eigvalsh(reduced_state(psi, [2]).mat), 0, None)
     ev_ab = np.clip(np.linalg.eigvalsh(reduced_state(psi, [1, 2]).mat), 0, None)
+    # Prefix sums of the descending spectra of (1/K) 1_K x rho_B and
+    # (1/L) 1_L x rho_AB, zero-padded to one common length: the repeated
+    # entries ev * (1/K) are the values kron produces, and padding holds a
+    # prefix sum at its total.  So each test is the one ``majorizes`` makes
+    # on the padded spectra; past the pair's own length both rows sit at
+    # their totals (about 1), where ``total_x <= total_y + tol`` follows
+    # exactly from ``|total_x - total_y| <= tol``.
+    n = max(k_max * ev_b.size, l_max * ev_ab.size)
+    lhs = _padded_prefix_sums(ev_b, k_max, n)
+    rhs = _padded_prefix_sums(ev_ab, l_max, n)
+    rhs_tol = rhs + 1e-9
     best = None
     witness = None
     for k in range(1, k_max + 1):
+        ok = None
         for l in range(1, l_max + 1):
             value = np.log2(k) - np.log2(l)
             if best is not None and value >= best:
                 continue
-            lhs = np.kron(np.full(k, 1.0 / k), ev_b)
-            rhs = np.kron(np.full(l, 1.0 / l), ev_ab)
-            n = max(lhs.size, rhs.size)
-            if majorizes(spectrum(lhs, n), spectrum(rhs, n)):
+            if ok is None:
+                ok = ((np.abs(lhs[k - 1, -1] - rhs[:, -1]) <= 1e-9)
+                      & np.all(lhs[k - 1] <= rhs_tol, axis=1))
+            if ok[l - 1]:
                 best = value
                 witness = (k, l)
     closed = None
@@ -193,6 +204,18 @@ def merge_converse_search(psi: Ket, l_max: int = None, k_max: int = None) -> Con
                               feasible=False, closed_form=closed)
     return ConverseReport(bound=float(best), witness=witness, feasible=True,
                           closed_form=closed)
+
+
+def _padded_prefix_sums(ev: np.ndarray, r_max: int, n: int) -> np.ndarray:
+    """Row r - 1 holds the prefix sums of the descending spectrum of
+    (1/r) 1_r x diag(ev), padded to length n with its total."""
+    desc = np.sort(ev)[::-1]
+    out = np.empty((r_max, n))
+    for r in range(1, r_max + 1):
+        c = np.cumsum(np.repeat(desc * (1.0 / r), r))
+        out[r - 1, :c.size] = c
+        out[r - 1, c.size:] = c[-1]
+    return out
 
 
 def _rank_of(mat: np.ndarray, tol: float = 1e-9) -> int:
@@ -314,6 +337,12 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
     With ``sender_only`` the receiver corrections are skipped (their effect
     is an outcome-determined isometry deferrable to the end), which is what
     sequential network protocols consume.
+
+    Each block's outcome-independent factors are contracted once, and its
+    terms for every local label pair (m1, m2) come from one batched
+    contraction; the block-Fourier phases over m3 are then applied to all
+    outcomes as one matrix product.  Operators come out in (m1, m2, m3)
+    order, m3 fastest, followed by the completion outcomes.
     """
     if setting not in ("catalytic", "non-catalytic"):
         raise ValueError("setting must be catalytic or non-catalytic")
@@ -359,37 +388,31 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
     junk = int(np.ceil(k_total / max(da * l_total, 1))) + 2
     out_b_dims = (da, db, l_total, junk)
     d_out_b = int(np.prod(out_b_dims))
-    a_ops, b_ops = [], []
-    for m1 in range(n1):
-        for m2 in range(n2):
-            for m3 in range(n_blocks):
-                a_mat = np.zeros((l_total, da * k_total), dtype=complex)
-                b_mat = np.zeros((d_out_b, db * k_total), dtype=complex)
-                for j, (blk, s) in enumerate(zip(blocks, sub)):
-                    n2_j = max(blk.dim_right ** 2, 1)
-                    scale = 1.0 / np.sqrt(
-                        (n1 // s["n_out"]) * (n2 // n2_j) * n_blocks)
-                    term = _block_a_term(blk, s, m1 % s["n_out"], m2 % n2_j,
-                                         setting, k_total, l_total, da)
-                    a_mat += (scale * np.exp(-2j * np.pi * j * m3 / n_blocks)
-                              * term)
-                    if sender_only:
-                        continue
-                    termb = _block_b_term(blk, s, m1 % s["n_out"], m2 % n2_j,
-                                          setting, k_total, l_total, da, db,
-                                          junk)
-                    b_mat += np.exp(2j * np.pi * j * m3 / n_blocks) * termb
-                a_ops.append(ProtocolOp(a_mat, (da, k_total), (l_total,)))
-                if not sender_only:
-                    b_ops.append(
-                        ProtocolOp(_extend_isometry(b_mat, db * k_total),
-                                   (db, k_total), out_b_dims))
+    # block-Fourier phases exp(-2 pi i j m3 / n_blocks), indexed [m3, j]
+    fourier = np.exp(-2j * np.pi * np.outer(np.arange(n_blocks),
+                                            np.arange(n_blocks)) / n_blocks)
+    scales = np.array([1.0 / np.sqrt((n1 // s["n_out"])
+                                     * (n2 // max(blk.dim_right ** 2, 1))
+                                     * n_blocks)
+                       for blk, s in zip(blocks, sub)])
+    a_all = _fourier_combine(
+        (_block_a_terms(blk, s, setting, k_total, l_total, da)
+         for blk, s in zip(blocks, sub)),
+        n1, n2, fourier * scales, (l_total, da * k_total))
+    a_ops = [ProtocolOp(m, (da, k_total), (l_total,)) for m in a_all]
+    if sender_only:
+        b_ops = []
+    else:
+        b_all = _fourier_combine(
+            (_block_b_terms(blk, s, setting, k_total, l_total, da, db, junk)
+             for blk, s in zip(blocks, sub)),
+            n1, n2, fourier.conj(), (d_out_b, db * k_total))
+        b_ops = [ProtocolOp(_extend_isometry(m, db * k_total),
+                            (db, k_total), out_b_dims) for m in b_all]
 
     # completion outcomes for directions outside the blocks' reach
-    acc = np.zeros((da * k_total, da * k_total), dtype=complex)
-    for op in a_ops:
-        acc += op.mat.conj().T @ op.mat
-    gap = np.eye(da * k_total) - acc
+    flat = a_all.reshape(-1, da * k_total)
+    gap = np.eye(da * k_total) - flat.conj().T @ flat
     evg, vecg = np.linalg.eigh((gap + gap.conj().T) / 2)
     if evg.min() < -1e-7:
         raise RuntimeError(
@@ -415,82 +438,121 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
                          dims=psi.dims, junk=junk, report=report)
 
 
+def _fourier_combine(terms, n1, n2, weights, shape):
+    """Operators of every outcome (m1, m2, m3), in that loop order, as a
+    stack (n1 * n2 * n_blocks, rows, cols) with ``shape = (rows, cols)``.
+
+    ``terms`` yields block j's matrices for its own labels, shape
+    (n_out_j, n2_j, rows, cols), one block at a time so that only one is
+    held; outcome (m1, m2, m3) takes
+    ``sum_j weights[m3, j] * terms[j][m1 % n_out_j, m2 % n2_j]``, applied
+    to all outcomes as one matrix product over the block axis."""
+    n_blocks = weights.shape[1]
+    rows, cols = shape
+    tiled = np.empty((n1, n2, n_blocks, rows, cols), dtype=complex)
+    for j, t in enumerate(terms):
+        nj, n2j = t.shape[:2]
+        view = tiled.reshape(n1 // nj, nj, n2 // n2j, n2j, n_blocks,
+                             rows, cols)
+        view[:, :, :, :, j] = t[None, :, None]
+        del t       # drop this block's terms before the next is built
+    out = weights @ tiled.reshape(n1 * n2, n_blocks, rows * cols)
+    return out.reshape(-1, rows, cols)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _shift_phase(d: int, m2: int) -> np.ndarray:
+    """X^(m2 // d) Z^(m2 % d), the m2-th shift-phase operator."""
+    x, z = pauli_x(d), pauli_z(d)
+    return (np.linalg.matrix_power(x, m2 // d)
+            @ np.linalg.matrix_power(z, m2 % d))
+
+
+@functools.lru_cache(maxsize=None)
 def _teleport_bell_bra(d: int, m2: int) -> np.ndarray:
     """Bra of the m2-th shifted-phase maximally entangled vector, as a
-    (d, d) tensor over (quantum coordinate, shared factor)."""
+    (d, d) tensor over (quantum coordinate, shared factor); cached per
+    (d, m2) and read-only."""
     if d == 1:
-        return np.ones((1, 1), dtype=complex)
-    x, z = pauli_x(d), pauli_z(d)
-    sigma = (np.linalg.matrix_power(x, m2 // d)
-             @ np.linalg.matrix_power(z, m2 % d))
-    vec = np.kron(np.eye(d), sigma) @ max_entangled(d).amps
-    return vec.conj().reshape(d, d)
+        return _frozen(np.ones((1, 1), dtype=complex))
+    vec = np.kron(np.eye(d), _shift_phase(d, m2)) @ max_entangled(d).amps
+    return _frozen(vec.conj().reshape(d, d))
 
 
+@functools.lru_cache(maxsize=None)
 def _teleport_correction(d: int, m2: int) -> np.ndarray:
+    """Receiver correction of teleport outcome m2, cached and read-only."""
     if d == 1:
-        return np.ones((1, 1), dtype=complex)
-    x, z = pauli_x(d), pauli_z(d)
-    sigma = (np.linalg.matrix_power(x, m2 // d)
-             @ np.linalg.matrix_power(z, m2 % d))
-    return sigma.T
+        return _frozen(np.ones((1, 1), dtype=complex))
+    return _frozen(_shift_phase(d, m2).T.copy())
 
 
-def _block_a_term(blk, s, m1, m2, setting, k_total, l_total, da):
-    """Sender-side matrix of one block for local outcome labels (m1, m2),
-    mapping (sender, resource) to the returned register."""
-    dl, drt = blk.dim_left, blk.dim_right
+def _block_a_terms(blk, s, setting, k_total, l_total, da):
+    """Sender-side matrices of one block for every pair of local outcome
+    labels (m1, m2), mapping (sender, resource) to the returned register;
+    shape (n_out, dj**2, l_total, da * k_total)."""
+    dl = blk.dim_left
     dj, kj, rj = s["layout"]
-    lj = s["target"]
-    bra = _teleport_bell_bra(dj, m2)           # (quantum coord, shared)
+    n_out = s["n_out"]
+    bras = np.stack([_teleport_bell_bra(dj, m2)
+                     for m2 in range(max(dj * dj, 1))])  # (m2, coord, shared)
     grid_bra = blk.grid_a.conj()               # (l, r, a)
 
     if setting == "catalytic":
-        d1 = s["a_mats"][m1].reshape(lj, dl, kj)
-        core = np.einsum("xlc,rd,lra->xadc", d1, bra, grid_bra,
-                         optimize=False)        # (lj, da, dj, kj)
-        out = np.zeros((lj, rj, da, dj, kj, rj), dtype=complex)
-        for kr in range(rj):
-            out[:, kr, :, :, :, kr] = core
-        return out.reshape(l_total, da * k_total)
+        d1 = np.reshape(s["a_mats"], (n_out, s["target"], dl, kj))
+        core = np.einsum("uxlc,vrd,lra->uvxadc", d1, bras, grid_bra,
+                         optimize=True)         # (.., lj, da, dj, kj)
+        # the rj resource copies pass through untouched
+        out = np.einsum("uvxadc,st->uvxsadct", core, np.eye(rj))
+        return out.reshape(n_out, -1, l_total, da * k_total)
 
-    d1 = s["a_mats"][m1].reshape(dj, dl, k_total)
-    core = np.einsum("xlk,rx,lra->ak", d1, bra, grid_bra, optimize=False)
-    return core.reshape(1, da * k_total)
+    d1 = np.reshape(s["a_mats"], (n_out, dj, dl, k_total))
+    core = np.einsum("uxlk,vrx,lra->uvak", d1, bras, grid_bra,
+                     optimize=True)
+    return core.reshape(n_out, -1, 1, da * k_total)
 
 
-def _block_b_term(blk, s, m1, m2, setting, k_total, l_total, da, db, junk):
-    """Receiver-side matrix of one block for local outcome labels (m1, m2),
-    mapping (receiver, resource) to (merged copy, receiver, returned, junk)."""
-    dl, drt = blk.dim_left, blk.dim_right
+def _block_b_terms(blk, s, setting, k_total, l_total, da, db, junk):
+    """Receiver-side matrices of one block for every pair of local outcome
+    labels (m1, m2), mapping (receiver, resource) to (merged copy,
+    receiver, returned, junk); shape (n_out, dj**2, rows, db * k_total)."""
     bl, br = blk.dim_bleft, blk.dim_bright
     dj, kj, rj = s["layout"]
     lj = s["target"]
-    sigma_t = _teleport_correction(dj, m2)     # (new coord, arrived)
+    n_out = s["n_out"]
+    n2j = max(dj * dj, 1)
+    sigma_t = np.stack([_teleport_correction(dj, m2)
+                        for m2 in range(n2j)])  # (m2, new coord, arrived)
     w_embed = blk.receiver_map.reshape(db, bl, br)
     q_coord = w_embed.conj().transpose(1, 2, 0)  # (p, q, b) coordinate bras
-    omega = blk.omega                          # (dl, bl_new)
-    flat_a = blk.grid_a                        # (l, r, a') ambient vectors
+    # outcome-independent factors: omega, the ambient vectors grid_a,
+    # the receiver map and the coordinate bras
+    fixed = np.einsum("lP,lrA,BPq,pqb->rABpb", blk.omega, blk.grid_a,
+                      w_embed, q_coord, optimize=True)
+    d_rows = da * db * l_total * junk
 
     if setting == "catalytic":
-        dwb = s["b_mats"][m1].reshape(lj, bl, kj)
-        core = np.einsum("lP,lrA,BPq,rd,xpc,pqb->ABxbdc",
-                         omega, flat_a, w_embed, sigma_t, dwb, q_coord,
-                         optimize=False)
+        dwb = np.reshape(s["b_mats"], (n_out, lj, bl, kj))
+        core = np.einsum("vrd,rABpb,uxpc->uvABxbdc", sigma_t, fixed, dwb,
+                         optimize=True)
         # axes: A=merged copy, B=receiver, x=distilled, b=receiver in,
         #       d=shared teleport factor, c=distillation factor
-        out = np.zeros((da, db, lj, rj, junk, db, dj, kj, rj), dtype=complex)
+        out = np.zeros((n_out, n2j, da, db, lj, rj, junk, db, dj, kj, rj),
+                       dtype=complex)
         for kr in range(rj):
-            out[:, :, :, kr, 0, :, :, :, kr] = core
-        return out.reshape(da * db * l_total * junk, db * k_total)
+            out[:, :, :, :, :, kr, 0, :, :, :, kr] = core
+        return out.reshape(n_out, n2j, d_rows, db * k_total)
 
-    dwb = s["b_mats"][m1].reshape(dj, bl, k_total)
-    core = np.einsum("lP,lrA,BPq,rx,xpc,pqb->ABbc",
-                     omega, flat_a, w_embed, sigma_t, dwb, q_coord,
-                     optimize=False)
-    out = np.zeros((da, db, 1, junk, db, k_total), dtype=complex)
-    out[:, :, 0, 0] = core
-    return out.reshape(da * db * l_total * junk, db * k_total)
+    dwb = np.reshape(s["b_mats"], (n_out, dj, bl, k_total))
+    core = np.einsum("vrx,rABpb,uxpc->uvABbc", sigma_t, fixed, dwb,
+                     optimize=True)
+    out = np.zeros((n_out, n2j, da, db, 1, junk, db, k_total), dtype=complex)
+    out[:, :, :, :, 0, 0] = core
+    return out.reshape(n_out, n2j, d_rows, db * k_total)
 
 
 def verify_merge_protocol(psi: Ket, proto: MergeProtocol, tol: float = 1e-8):

@@ -3,6 +3,8 @@ and the command line."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .qcore import Ket
@@ -33,8 +35,10 @@ def pauli_z(d: int = 2) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
 
 
+@functools.lru_cache(maxsize=None)
 def max_entangled(d: int) -> Ket:
-    """|Phi_d^+> on two d-dimensional subsystems."""
+    """|Phi_d^+> on two d-dimensional subsystems, cached per ``d``; the
+    returned ``Ket`` and its amplitudes are read-only."""
     v = np.zeros(d * d, dtype=complex)
     for l in range(d):
         v[l * d + l] = 1.0

@@ -3,6 +3,7 @@ import pytest
 
 from mergekit import states
 from mergekit.locc import (
+    PRUNE_TOL,
     CompletenessError,
     InfeasibleError,
     LoccProtocol,
@@ -282,3 +283,108 @@ def test_nielsen_rank_three_to_embedded_rank_two():
     target = Ket(target_amps, (3, 3))
     assert nielsen_convertible(phi3, target, cut)
     assert not nielsen_convertible(target, phi3, cut)
+
+
+def _per_operator_simulate(protocol, state, prune=PRUNE_TOL):
+    """Reference simulator: one transpose, matmul and transpose back per
+    operator, the Born weight from vdot."""
+    owners = [None] * state.nsys
+    for name, slots in protocol.parties.items():
+        for s in slots:
+            owners[s] = name
+    branches = [((), 1.0, state.amps, list(state.dims), owners)]
+    for rnd in protocol.rounds:
+        new = []
+        for outcomes, prob, amps, dims, owners in branches:
+            ops = rnd.instruments.get(outcomes, rnd.instruments.get(()))
+            pos = [k for k, o in enumerate(owners) if o == rnd.party]
+            rest = [k for k in range(len(dims)) if k not in pos]
+            n_before = len([k for k in rest if k < min(pos, default=0)])
+            for m, op in enumerate(ops):
+                t = np.transpose(amps.reshape(dims), pos + rest)
+                out = op.mat @ t.reshape(op.mat.shape[1], -1)
+                n_out = len(op.out_dims)
+                out = out.reshape(list(op.out_dims) + [dims[k] for k in rest])
+                order = ([n_out + i for i in range(n_before)]
+                         + list(range(n_out))
+                         + [n_out + i for i in range(n_before, len(rest))])
+                out = np.transpose(out, order).reshape(-1)
+                p = float(np.vdot(out, out).real) * prob
+                if p < prune:
+                    continue
+                rest_dims = [dims[k] for k in rest]
+                rest_owners = [owners[k] for k in rest]
+                new.append((
+                    outcomes + (m,), p, out / np.linalg.norm(out),
+                    rest_dims[:n_before] + list(op.out_dims)
+                    + rest_dims[n_before:],
+                    rest_owners[:n_before] + [rnd.party] * n_out
+                    + rest_owners[n_before:]))
+        branches = new
+    return branches
+
+
+def _simulator_cases():
+    from mergekit import twoway
+    from mergekit.mergesplit import merge_protocol, split_protocol
+
+    rng = np.random.default_rng(1903)
+    cases = []
+    psi = random_ket([3], rng)
+    cases.append((one_way_to_locc(teleport_protocol(3), (0, 1), (2,)),
+                  psi.kron(states.max_entangled(3))))
+    psi = random_ket([2, 3, 3], rng)
+    proto, meta = split_protocol(psi, 3)
+    cases.append((one_way_to_locc(proto, (2, 3), (4,)),
+                  psi.kron(states.max_entangled(meta["resource_rank"]))))
+    # redundant pair with spectrum (3/4, 1/4): catalytic K = 6, L = 4
+    omega = np.diag([np.sqrt(0.75), np.sqrt(0.25)])
+    t = np.einsum("Rx,ab->Raxb", np.eye(2) / np.sqrt(2), omega)
+    psi = Ket(t.reshape(-1), (2, 4, 2))
+    merge = merge_protocol(psi, "catalytic")
+    cases.append((merge.locc(), merge.input_state(psi)))
+    # receiver measures first, the sender's family is conditioned on it
+    inst = twoway.default_instance()
+    b_round = [ProtocolOp(m, (twoway.DIM,), (twoway.DIM,))
+               for m in twoway.receiver_measurement()]
+    a_round = {(j,): [ProtocolOp(m, (twoway.DIM,), (1,))
+                      for m in twoway.sender_measurement(inst.gamma2, 3 * j)]
+               for j in range(3)}
+    cases.append((LoccProtocol({"A": (1,), "B": (2,)},
+                               [Round("B", {(): b_round}), Round("A", a_round)]),
+                  inst.psi))
+    # mixed output shapes in one instrument, held on a middle slot
+    h = np.sqrt(0.5)
+    ops = [ProtocolOp(h * np.array([[1, 0]]), (2,), (1,)),
+           ProtocolOp(h * np.eye(2), (2,), (2,)),
+           ProtocolOp(h * np.array([[0, 1]]), (2,), (1,))]
+    cases.append((LoccProtocol({"A": (1,)}, [Round("A", {(): ops})]),
+                  random_ket([3, 2, 2], rng)))
+    return cases
+
+
+def test_simulate_matches_per_operator_reference():
+    for protocol, inp in _simulator_cases():
+        got = simulate(protocol, inp)
+        want = _per_operator_simulate(protocol, inp)
+        assert [b.outcomes for b in got] == [w[0] for w in want]
+        assert [b.ownership for b in got] == [tuple(w[4]) for w in want]
+        for b, (_, p, amps, dims, _) in zip(got, want):
+            assert b.state.dims == tuple(dims)
+            assert abs(b.prob - p) <= 1e-12
+            assert np.max(np.abs(b.state.amps - amps)) <= 1e-12
+
+
+def test_simulate_prunes_below_tolerance_like_reference():
+    # outcome 1 fires with probability 1e-14, under PRUNE_TOL
+    eps = 1e-14
+    ops = [ProtocolOp(np.sqrt(1 - eps) * np.eye(2), (2,), (2,)),
+           ProtocolOp(np.sqrt(eps) * np.eye(2), (2,), (2,)),
+           ProtocolOp(np.zeros((1, 2)), (2,), (1,))]
+    proto = LoccProtocol({"A": (0,)}, [Round("A", {(): ops})])
+    inp = random_ket([2, 3], RNG)
+    got = simulate(proto, inp)
+    want = _per_operator_simulate(proto, inp)
+    assert [b.outcomes for b in got] == [w[0] for w in want] == [(0,)]
+    assert abs(got[0].prob - want[0][1]) <= 1e-12
+    assert np.max(np.abs(got[0].state.amps - want[0][2])) <= 1e-12

@@ -3,7 +3,13 @@ import pytest
 
 from mergekit import states
 from mergekit.kidecomp import ki_decompose_tripartite
-from mergekit.locc import InfeasibleError, branch_fidelity, simulate
+from mergekit.locc import (
+    InfeasibleError,
+    branch_fidelity,
+    majorizes,
+    simulate,
+    spectrum,
+)
 from mergekit.mergesplit import (
     approx_merge_candidate,
     fraction_in_interval,
@@ -154,6 +160,60 @@ def test_converse_infeasible_within_caps():
     rep = merge_converse_search(psi, l_max=1, k_max=1)
     assert not rep.feasible
     assert rep.bound == float("inf")
+
+
+def _reference_converse(psi, l_max=None, k_max=None):
+    """The kron + spectrum + majorizes double loop, as an oracle."""
+    ev_r = np.clip(np.linalg.eigvalsh(reduced_state(psi, [0]).mat), 0, None)
+    d_ref = int(np.sum(ev_r > 1e-9 * ev_r.max()))
+    l_max = l_max if l_max is not None else d_ref ** 2
+    k_max = k_max if k_max is not None else d_ref ** 3
+    ev_b = np.clip(np.linalg.eigvalsh(reduced_state(psi, [2]).mat), 0, None)
+    ev_ab = np.clip(np.linalg.eigvalsh(reduced_state(psi, [1, 2]).mat), 0,
+                    None)
+    best, witness = None, None
+    for k in range(1, k_max + 1):
+        for l in range(1, l_max + 1):
+            value = np.log2(k) - np.log2(l)
+            if best is not None and value >= best:
+                continue
+            lhs = np.kron(np.full(k, 1.0 / k), ev_b)
+            rhs = np.kron(np.full(l, 1.0 / l), ev_ab)
+            n = max(lhs.size, rhs.size)
+            if majorizes(spectrum(lhs, n), spectrum(rhs, n)):
+                best, witness = value, (k, l)
+    return (float("inf") if best is None else float(best)), witness
+
+
+def test_converse_search_matches_kron_oracle():
+    rng = np.random.default_rng(2024)
+    cases = [(states.converse_gap_state(), None, None),
+             (states.converse_gap_state(), 1, 2),
+             (states.converse_gap_state(), 1, 1),
+             (states.ghz(3, 3), None, None)]
+    for _ in range(24):
+        dims = [int(d) for d in rng.integers(2, 5, size=3)]
+        cases.append((random_ket(dims, rng), None, None))
+    for psi, l_max, k_max in cases:
+        rep = merge_converse_search(psi, l_max=l_max, k_max=k_max)
+        bound, witness = _reference_converse(psi, l_max, k_max)
+        assert rep.bound == bound, psi.dims
+        assert rep.witness == witness, psi.dims
+
+
+def test_teleport_tables_and_max_entangled_are_read_only_caches():
+    from mergekit.mergesplit import _teleport_bell_bra, _teleport_correction
+
+    for table in (_teleport_bell_bra, _teleport_correction):
+        for d, m2 in ((1, 0), (2, 3), (3, 5)):
+            a = table(d, m2)
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+            assert np.array_equal(table(d, m2), a)
+    phi = states.max_entangled(3)
+    with pytest.raises(ValueError):
+        phi.amps[0] = 0.0
+    assert np.array_equal(states.max_entangled(3).amps, phi.amps)
 
 
 def test_qubit_optimal_cases():
