@@ -49,7 +49,8 @@ def _report(command, inputs, results, checks, provenance, seed):
 
 
 def _emit(report):
-    json.dump(report, sys.stdout, sort_keys=True, default=_jsonable)
+    # json.dumps runs the C encoder; json.dump to a stream never does
+    sys.stdout.write(json.dumps(report, sort_keys=True, default=_jsonable))
     sys.stdout.write("\n")
     checks = report.get("checks", {})
     bad = [k for k, v in checks.items() if v is False]
@@ -176,7 +177,7 @@ def cmd_merge_protocol(args, seed):
     if args.save:
         locc = proto.locc()
         with open(args.save, "w") as f:
-            json.dump(serialize.protocol_to_dict(locc), f)
+            f.write(json.dumps(serialize.protocol_to_dict(locc)))
         results["protocol_path"] = args.save
         results["protocol_input_layout"] = (
             "state subsystems first, then the rank-K resource pair")

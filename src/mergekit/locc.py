@@ -9,6 +9,7 @@ all prior outcomes.  Simulation enumerates every branch exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -502,6 +503,37 @@ def _extend_isometry(mat: np.ndarray, dim_in: int) -> np.ndarray:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _shift_phase(d: int, m2: int) -> np.ndarray:
+    """X^(m2 // d) Z^(m2 % d), the m2-th shift-phase operator."""
+    x, z = pauli_x(d), pauli_z(d)
+    return (np.linalg.matrix_power(x, m2 // d)
+            @ np.linalg.matrix_power(z, m2 % d))
+
+
+@functools.lru_cache(maxsize=None)
+def _teleport_bell_bra(d: int, m2: int) -> np.ndarray:
+    """Bra of the m2-th shifted-phase maximally entangled vector, as a
+    (d, d) tensor over (quantum coordinate, shared factor); cached per
+    (d, m2) and read-only."""
+    if d == 1:
+        return _frozen(np.ones((1, 1), dtype=complex))
+    vec = np.kron(np.eye(d), _shift_phase(d, m2)) @ max_entangled(d).amps
+    return _frozen(vec.conj().reshape(d, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _teleport_correction(d: int, m2: int) -> np.ndarray:
+    """Receiver correction of teleport outcome m2, cached and read-only."""
+    if d == 1:
+        return _frozen(np.ones((1, 1), dtype=complex))
+    return _frozen(_shift_phase(d, m2).T.copy())
+
+
 def teleport_protocol(d: int) -> OneWayProtocol:
     """Teleportation of a d-dimensional state through |Phi_d^+>.
 
@@ -511,16 +543,11 @@ def teleport_protocol(d: int) -> OneWayProtocol:
     """
     if d < 2:
         raise ValueError("teleportation needs dimension at least 2")
-    x, z = pauli_x(d), pauli_z(d)
-    phi = max_entangled(d).amps
     a_ops, b_ops = [], []
-    for l in range(d):
-        for lp in range(d):
-            sigma = np.linalg.matrix_power(x, l) @ np.linalg.matrix_power(z, lp)
-            basis_vec = np.kron(np.eye(d), sigma) @ phi
-            a_ops.append(ProtocolOp(basis_vec.conj().reshape(1, -1),
-                                    (d, d), (1,)))
-            b_ops.append(ProtocolOp(sigma.T, (d,), (d,)))
+    for m2 in range(d * d):
+        a_ops.append(ProtocolOp(_teleport_bell_bra(d, m2).reshape(1, -1),
+                                (d, d), (1,)))
+        b_ops.append(ProtocolOp(_teleport_correction(d, m2), (d,), (d,)))
     return OneWayProtocol(a_ops, b_ops)
 
 

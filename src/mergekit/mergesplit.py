@@ -12,7 +12,6 @@ amplitude on each block, which is what makes the combination exact.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +24,14 @@ from .locc import (
     OneWayProtocol,
     ProtocolOp,
     _extend_isometry,
+    _teleport_bell_bra,
+    _teleport_correction,
     one_way_to_locc,
     simulate,
     uniform_distill,
 )
 from .qcore import Bipartition, Ket, reduced_state
-from .states import max_entangled, pauli_x, pauli_z
+from .states import max_entangled
 
 K_EXPLOSION_CAP = 10 ** 9
 
@@ -253,8 +254,6 @@ def split_protocol(psi: Ket, resource_rank: int):
     embed[:rank, :] = np.eye(rank)
     u_split = embed @ compress                # (k, dm)
 
-    x, z = pauli_x(k), pauli_z(k)
-    phi = max_entangled(k).amps
     junk = int(np.ceil(k / dm)) + 1
     decode = np.zeros((dm * junk, k), dtype=complex)
     for l in range(rank):
@@ -266,13 +265,12 @@ def split_protocol(psi: Ket, resource_rank: int):
         decode[r * junk + s, l] = 1.0
 
     a_ops, b_ops = [], []
-    for l in range(k):
-        for lp in range(k):
-            sigma = np.linalg.matrix_power(x, l) @ np.linalg.matrix_power(z, lp)
-            bra = (np.kron(np.eye(k), sigma) @ phi).conj().reshape(1, -1)
-            a_ops.append(ProtocolOp(bra @ np.kron(u_split, np.eye(k)),
-                                    (dm, k), (1,)))
-            b_ops.append(ProtocolOp(decode @ sigma.T, (k,), (dm, junk)))
+    encode = np.kron(u_split, np.eye(k))
+    for m2 in range(k * k):
+        bra = _teleport_bell_bra(k, m2).reshape(1, -1)
+        a_ops.append(ProtocolOp(bra @ encode, (dm, k), (1,)))
+        b_ops.append(ProtocolOp(decode @ _teleport_correction(k, m2),
+                                (k,), (dm, junk)))
 
     acc = np.zeros((dm * k, dm * k), dtype=complex)
     for op in a_ops:
@@ -458,37 +456,6 @@ def _fourier_combine(terms, n1, n2, weights, shape):
         del t       # drop this block's terms before the next is built
     out = weights @ tiled.reshape(n1 * n2, n_blocks, rows * cols)
     return out.reshape(-1, rows, cols)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _shift_phase(d: int, m2: int) -> np.ndarray:
-    """X^(m2 // d) Z^(m2 % d), the m2-th shift-phase operator."""
-    x, z = pauli_x(d), pauli_z(d)
-    return (np.linalg.matrix_power(x, m2 // d)
-            @ np.linalg.matrix_power(z, m2 % d))
-
-
-@functools.lru_cache(maxsize=None)
-def _teleport_bell_bra(d: int, m2: int) -> np.ndarray:
-    """Bra of the m2-th shifted-phase maximally entangled vector, as a
-    (d, d) tensor over (quantum coordinate, shared factor); cached per
-    (d, m2) and read-only."""
-    if d == 1:
-        return _frozen(np.ones((1, 1), dtype=complex))
-    vec = np.kron(np.eye(d), _shift_phase(d, m2)) @ max_entangled(d).amps
-    return _frozen(vec.conj().reshape(d, d))
-
-
-@functools.lru_cache(maxsize=None)
-def _teleport_correction(d: int, m2: int) -> np.ndarray:
-    """Receiver correction of teleport outcome m2, cached and read-only."""
-    if d == 1:
-        return _frozen(np.ones((1, 1), dtype=complex))
-    return _frozen(_shift_phase(d, m2).T.copy())
 
 
 def _block_a_terms(blk, s, setting, k_total, l_total, da):
@@ -698,11 +665,25 @@ def _teleport_merge_protocol():
 
 
 def _su2_from_so3(o: np.ndarray) -> np.ndarray:
-    """SU(2) element implementing a rotation matrix on the Bloch vector."""
-    from scipy.spatial.transform import Rotation
+    """SU(2) element implementing a rotation matrix on the Bloch vector.
 
-    quat = Rotation.from_matrix(o).as_quat()  # (x, y, z, w)
-    x, y, z, w = quat
+    The unit quaternion comes from Shepperd's method: of the four
+    expressions 1 + tr(o) and 1 - tr(o) + 2 o_ii, the largest fixes one
+    component and the off-diagonal sums and differences give the rest, so
+    nothing is divided by a small number, including near angle pi."""
+    tr = np.trace(o)
+    i = int(np.argmax([o[0, 0], o[1, 1], o[2, 2], tr]))
+    q = np.empty(4)     # (x, y, z, w)
+    if i == 3:
+        q[:] = (o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1],
+                1 + tr)
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q[i] = 1 - tr + 2 * o[i, i]
+        q[j] = o[j, i] + o[i, j]
+        q[k] = o[k, i] + o[i, k]
+        q[3] = o[k, j] - o[j, k]
+    x, y, z, w = q / np.linalg.norm(q)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 DEFAULT_TOL = 1e-9
 
@@ -346,6 +345,9 @@ def hmax_conditional(psi: Ket, cut_a, cut_b, restarts: int = 32,
                                   _sqrtm_psd(rb).imag.reshape(-1)]))
     while len(starts) < max(2, restarts):
         starts.append(rng.normal(size=2 * dim_b * dim_b))
+    # imported here, its only use, to keep scipy off every other import path
+    from scipy import optimize
+
     for x0 in starts[: max(2, restarts)]:
         res = optimize.minimize(neg_obj, x0, method="Nelder-Mead",
                                 options={"maxiter": 4000, "xatol": tol,

@@ -13,17 +13,32 @@ from .netcost import IsometrySpec, RootedTree
 from .qcore import Ket, StateError
 
 
-def _c2pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
+def _to_pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] float pairs, one per entry of ``a``."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _pair2c(p):
-    return complex(p[0], p[1])
+def _from_pairs(p, ndim: int) -> np.ndarray:
+    """Complex array with ``ndim`` axes from nested [re, im] pairs; each
+    pair's floats become the entry's real and imaginary parts exactly."""
+    try:
+        arr = np.asarray(p)
+    except ValueError as e:     # ragged nesting
+        raise StateError(
+            f"complex entries must be [re, im] pairs: {e}") from e
+    if (arr.ndim != ndim + 1 or arr.shape[-1] != 2
+            or arr.dtype.kind not in "biuf"):
+        raise StateError(
+            f"complex entries must be [re, im] pairs of numbers in a "
+            f"{ndim}-dimensional array; got shape {arr.shape}")
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise StateError("complex entries must be finite [re, im] pairs")
+    return arr.view(complex)[..., 0]
 
 
 def ket_to_dict(ket: Ket) -> dict:
-    out = {"dims": list(ket.dims),
-           "amps": [_c2pair(a) for a in ket.amps]}
+    out = {"dims": list(ket.dims), "amps": _to_pairs(ket.amps)}
     if not ket.normalized:
         out["normalized"] = False
     return out
@@ -31,7 +46,7 @@ def ket_to_dict(ket: Ket) -> dict:
 
 def ket_from_dict(data: dict) -> Ket:
     dims = data["dims"]
-    amps = np.array([_pair2c(p) for p in data["amps"]])
+    amps = _from_pairs(data["amps"], 1)
     normalized = data.get("normalized", True)
     if normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-6:
         raise StateError(
@@ -42,7 +57,7 @@ def ket_from_dict(data: dict) -> Ket:
 
 def save_ket(ket: Ket, path: str):
     with open(path, "w") as f:
-        json.dump(ket_to_dict(ket), f)
+        f.write(json.dumps(ket_to_dict(ket)))
 
 
 def load_ket(path: str) -> Ket:
@@ -52,11 +67,11 @@ def load_ket(path: str) -> Ket:
 
 def op_to_dict(op: ProtocolOp) -> dict:
     return {"in_dims": list(op.in_dims), "out_dims": list(op.out_dims),
-            "mat": [[_c2pair(x) for x in row] for row in op.mat]}
+            "mat": _to_pairs(op.mat)}
 
 
 def op_from_dict(d: dict) -> ProtocolOp:
-    mat = np.array([[_pair2c(x) for x in row] for row in d["mat"]])
+    mat = _from_pairs(d["mat"], 2)
     return ProtocolOp(mat, d["in_dims"], d["out_dims"])
 
 
@@ -133,8 +148,7 @@ def schedule_from_dict(d: dict):
     for s in d["steps"]:
         step = dict(s)
         if step["op"] == "unitary":
-            step["matrix"] = np.array(
-                [[_pair2c(x) for x in row] for row in step["matrix"]])
+            step["matrix"] = _from_pairs(step["matrix"], 2)
         if step["op"] == "send":
             step["from"] = tuple(step["from"])
             step["to"] = tuple(step["to"])

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import mergekit
 from mergekit import serialize, states
 from mergekit.cli import run
 from mergekit.locc import LoccProtocol, ProtocolOp, Round
@@ -239,6 +242,144 @@ def test_merge_protocol_save_and_resimulate(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["results"]["total_probability"] - 1) < 1e-7
+
+
+def _per_element_pair(z):
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def _per_element_protocol_dict(proto):
+    """Protocol table as built one complex entry at a time, the encoder
+    that whole-array conversion replaced."""
+    rounds = []
+    for r in proto.rounds:
+        instruments = {}
+        for key, ops in r.instruments.items():
+            instruments[",".join(str(k) for k in key)] = [
+                {"in_dims": list(o.in_dims), "out_dims": list(o.out_dims),
+                 "mat": [[_per_element_pair(x) for x in row]
+                         for row in o.mat]}
+                for o in ops]
+        rounds.append({"party": r.party, "instruments": instruments})
+    return {"parties": {k: list(v) for k, v in proto.parties.items()},
+            "rounds": rounds}
+
+
+def test_protocol_table_matches_per_element_encoder_and_round_trips():
+    from mergekit.mergesplit import merge_protocol
+    from mergekit.qcore import random_ket
+
+    # the K=6, L=4 catalytic merge and a seeded random (4, 5, 5) state
+    omega = (np.sqrt(0.75) * np.kron([1, 0], [1, 0])
+             + np.sqrt(0.25) * np.kron([0, 1], [0, 1])).reshape(2, 2)
+    t = np.einsum("Rx,ab->Raxb", np.eye(2) / np.sqrt(2), omega)
+    cases = [(Ket(t.reshape(-1), (2, 4, 2)), "catalytic"),
+             (random_ket((4, 5, 5), np.random.default_rng(41)),
+              "non-catalytic")]
+    negative_zeros = 0
+    for psi, setting in cases:
+        proto = merge_protocol(psi, setting).locc()
+        text = json.dumps(serialize.protocol_to_dict(proto))
+        assert text == json.dumps(_per_element_protocol_dict(proto))
+        back = serialize.protocol_from_dict(json.loads(text))
+        assert back.parties == proto.parties
+        assert len(back.rounds) == len(proto.rounds)
+        for r, rb in zip(proto.rounds, back.rounds):
+            assert r.party == rb.party
+            assert list(r.instruments) == list(rb.instruments)
+            for key, ops in r.instruments.items():
+                for o, ob in zip(ops, rb.instruments[key], strict=True):
+                    assert (ob.in_dims, ob.out_dims) == (o.in_dims,
+                                                         o.out_dims)
+                    assert ob.mat.shape == o.mat.shape
+                    assert ob.mat.tobytes() == o.mat.tobytes()
+                    z = o.mat.view(float)
+                    negative_zeros += int(np.sum((z == 0) & np.signbit(z)))
+    assert negative_zeros > 0       # the bit-exact check covered -0.0
+
+
+@pytest.mark.parametrize("width", [1, 3], ids=["re", "re-im-extra"])
+def test_complex_entries_must_be_pairs(tmp_path, capsys, width):
+    def reshape_pairs(pairs):
+        return [(p + [0.5] * width)[:width] for p in pairs]
+
+    state = {"dims": [2], "amps": reshape_pairs([[1.0, 0.0], [0.0, 0.0]])}
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(state))
+    code, _, err = _run(["merge-cost", str(spath)], capsys)
+    assert code == 2
+    assert "[re, im]" in err
+
+    from mergekit.locc import one_way_to_locc, teleport_protocol
+
+    table = serialize.protocol_to_dict(
+        one_way_to_locc(teleport_protocol(2), (0, 1), (2,)))
+    for r in table["rounds"]:
+        for ops in r["instruments"].values():
+            for o in ops:
+                o["mat"] = [reshape_pairs(row) for row in o["mat"]]
+    ppath = tmp_path / "table.json"
+    ppath.write_text(json.dumps(table))
+    inp = tmp_path / "in.json"
+    serialize.save_ket(Ket(np.kron([1, 0], states.max_entangled(2).amps),
+                           (2, 2, 2)), str(inp))
+    code, _, err = _run(["simulate", str(ppath), str(inp)], capsys)
+    assert code == 2
+    assert "[re, im]" in err
+
+
+def test_non_finite_amplitudes_rejected(tmp_path, capsys):
+    # a NaN norm passes the normalization check; only the finite check
+    # keeps split-cost from reporting a cost of -Infinity with exit code 0
+    amps = [[0.0, 0.0]] * 7 + [[1.0, 0.0]]
+    for bad in ("NaN", "Infinity"):
+        path = tmp_path / f"{bad}.json"
+        path.write_text('{"dims": [2, 2, 2], "amps": [[%s, 0.0], %s]}'
+                        % (bad, json.dumps(amps)[1:-1]))
+        code, _, err = _run(["split-cost", str(path)], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
+def test_cli_path_never_imports_scipy(tmp_path):
+    # a fresh interpreter: scipy stays unloaded through the commands, and
+    # hmax_conditional, its only user, still loads it on first call
+    script = textwrap.dedent("""
+        import json, os, sys
+        from mergekit import cli, serialize, states
+        from mergekit.netcost import star_isometry, star_tree
+        from mergekit.qcore import hmax_conditional
+
+        d = sys.argv[1]
+        serialize.save_ket(states.ghz(3, 2), os.path.join(d, "g.json"))
+        with open(os.path.join(d, "tree.json"), "w") as f:
+            json.dump(serialize.tree_to_dict(star_tree()), f)
+        with open(os.path.join(d, "code.json"), "w") as f:
+            json.dump([serialize.ket_to_dict(k)
+                       for k in star_isometry().code_kets], f)
+        codes = [
+            cli.run(["merge-protocol", os.path.join(d, "g.json"),
+                     "--save", os.path.join(d, "p.json")]),
+            cli.run(["net", "spread", os.path.join(d, "tree.json"),
+                     os.path.join(d, "code.json"), "--simulate"]),
+            cli.run(["msize", "scan"]),
+        ]
+        before = sorted(m for m in sys.modules if m.startswith("scipy"))
+        hmax = hmax_conditional(states.bell("phi+"), [0], [1], restarts=2)
+        print(json.dumps({"codes": codes, "scipy": before,
+                          "hmax": hmax["value"],
+                          "loaded": "scipy.optimize" in sys.modules}))
+    """)
+    src = os.path.dirname(os.path.dirname(mergekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    assert out["scipy"] == []
+    assert abs(out["hmax"] + 1) < 1e-6 and out["loaded"]
 
 
 def test_msize_scan_alpha_validation(capsys):

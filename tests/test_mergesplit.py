@@ -202,7 +202,7 @@ def test_converse_search_matches_kron_oracle():
 
 
 def test_teleport_tables_and_max_entangled_are_read_only_caches():
-    from mergekit.mergesplit import _teleport_bell_bra, _teleport_correction
+    from mergekit.locc import _teleport_bell_bra, _teleport_correction
 
     for table in (_teleport_bell_bra, _teleport_correction):
         for d, m2 in ((1, 0), (2, 3), (3, 5)):
@@ -214,6 +214,109 @@ def test_teleport_tables_and_max_entangled_are_read_only_caches():
     with pytest.raises(ValueError):
         phi.amps[0] = 0.0
     assert np.array_equal(states.max_entangled(3).amps, phi.amps)
+
+
+def _kron_shift_phases(d):
+    """The shift-phase operators X^l Z^l' in outcome order (l, l')."""
+    x, z = states.pauli_x(d), states.pauli_z(d)
+    return [np.linalg.matrix_power(x, l) @ np.linalg.matrix_power(z, lp)
+            for l in range(d) for lp in range(d)]
+
+
+def _kron_bell_bra(d, sigma):
+    return (np.kron(np.eye(d), sigma)
+            @ states.max_entangled(d).amps).conj().reshape(1, -1)
+
+
+def _reference_split_teleport_ops(psi, k):
+    """split_protocol's sender and receiver operators of the k*k teleport
+    outcomes, each Bell bra and the encoder rebuilt with kron per outcome."""
+    from mergekit.mergesplit import _rank_of
+
+    dr, da, dm = psi.dims
+    rho_m = reduced_state(psi, [2]).mat
+    rank = _rank_of(rho_m)
+    ev, vec = np.linalg.eigh(rho_m)
+    vec = vec[:, np.argsort(ev)[::-1]]
+    embed = np.zeros((k, rank), dtype=complex)
+    embed[:rank, :] = np.eye(rank)
+    u_split = embed @ vec[:, :rank].conj().T
+    junk = int(np.ceil(k / dm)) + 1
+    decode = np.zeros((dm * junk, k), dtype=complex)
+    for l in range(rank):
+        for b in range(dm):
+            decode[b * junk + 0, l] = vec[b, l]
+    for l in range(rank, k):
+        decode[l % dm * junk + 1 + (l - rank) // dm, l] = 1.0
+    a_mats, b_mats = [], []
+    for sigma in _kron_shift_phases(k):
+        a_mats.append(_kron_bell_bra(k, sigma) @ np.kron(u_split, np.eye(k)))
+        b_mats.append(decode @ sigma.T)
+    return a_mats, b_mats
+
+
+def test_teleport_and_split_operators_match_kron_reference():
+    # the cached Bell bras and corrections must reproduce the per-outcome
+    # kron construction bit for bit, signed zeros included
+    from mergekit.locc import teleport_protocol
+    from mergekit.mergesplit import split_protocol
+
+    def same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(31)
+    for d in range(2, 6):
+        proto = teleport_protocol(d)
+        sigmas = _kron_shift_phases(d)
+        assert len(proto.a_ops) == len(sigmas)
+        for a, b, sigma in zip(proto.a_ops, proto.b_ops, sigmas):
+            assert same_bits(a.mat, _kron_bell_bra(d, sigma))
+            assert same_bits(b.mat, sigma.T)
+        # moved subsystem of dimension d with a rank-2 marginal, so every
+        # resource rank k in 2..5 is feasible
+        iso = np.linalg.qr(rng.normal(size=(d, 2))
+                           + 1j * rng.normal(size=(d, 2)))[0]
+        t = np.einsum("abr,mr->abm", random_ket([2, 2, 2], rng).tensor(),
+                      iso)
+        psi = Ket(t.reshape(-1), (2, 2, d))
+        for k in range(2, 6):
+            proto, _ = split_protocol(psi, k)
+            a_ref, b_ref = _reference_split_teleport_ops(psi, k)
+            for op, ref in zip(proto.a_ops, a_ref):
+                assert same_bits(op.mat, ref), (d, k)
+            for op, ref in zip(proto.b_ops, b_ref):
+                assert same_bits(op.mat, ref), (d, k)
+
+
+def test_su2_from_so3_adjoint_action_reproduces_rotation():
+    from mergekit.mergesplit import _su2_from_so3
+
+    paulis = [np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex)]
+    rng = np.random.default_rng(23)
+
+    def rotation(axis, angle):
+        n = axis / np.linalg.norm(axis)
+        cross = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]],
+                          [-n[1], n[0], 0]])
+        return (np.eye(3) + np.sin(angle) * cross
+                + (1 - np.cos(angle)) * cross @ cross)
+
+    # identity, half turns about the coordinate axes, 16 angles within
+    # 1e-9 of pi about random axes, and 30 random rotations
+    rots = [np.eye(3)] + [rotation(np.eye(3)[i], np.pi) for i in range(3)]
+    rots += [rotation(rng.normal(size=3), np.pi - rng.uniform(0, 1e-9))
+             for _ in range(16)]
+    rots += [rotation(rng.normal(size=3), rng.uniform(0, np.pi))
+             for _ in range(30)]
+    assert len(rots) == 50
+    for o in rots:
+        u = _su2_from_so3(o)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+        adj = np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
+                         for sj in paulis] for si in paulis])
+        assert np.max(np.abs(adj - o)) < 1e-12
 
 
 def test_qubit_optimal_cases():
