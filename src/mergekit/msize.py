@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Bipartition, Ket, schmidt_rank
+from .qcore import Bipartition, Ket, StateError, singular_rank
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,9 @@ def resource_graph_state(circ: CircuitSpec):
         adj[a, i - 1] = adj[i - 1, a] = True
         adj[a, j - 1] = adj[j - 1, a] = True
     amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    idx = np.arange(2 ** n)
-    bits = [(idx >> (n - 1 - v)) & 1 for v in range(n)]
-    for v in range(n):
-        for u in range(v + 1, n):
-            if adj[v, u]:
-                amps = amps * np.where((bits[v] & bits[u]).astype(bool),
-                                       -1.0, 1.0)
+    for v, u in zip(*np.nonzero(np.triu(adj))):
+        # CZ on the edge: negate the entries whose bits v and u are both one
+        amps.reshape(2 ** v, 2, 2 ** (u - v - 1), 2, -1)[:, 1, :, 1] *= -1
     ket = Ket(amps, (2,) * n)
     graph = GraphState(adjacency=adj, roles=tuple(roles))
     for v in range(n):
@@ -105,15 +101,12 @@ def resource_graph_state(circ: CircuitSpec):
 
 def _stabilizer_holds(ket: Ket, graph: GraphState, v: int,
                       tol: float = 1e-10) -> bool:
-    n = ket.nsys
-    t = ket.tensor()
-    out = np.moveaxis(np.moveaxis(t, v, 0)[[1, 0]], 0, v)
-    flat_sign = np.ones(2 ** n)
-    flat_idx = np.arange(2 ** n)
+    # X on v, then Z on each neighbour, on flat views (qubit 0 most
+    # significant) rather than the slow n-axis tensor
+    out = ket.amps.reshape(2 ** v, 2, -1)[:, ::-1].reshape(-1)
     for u in graph.neighbors(v):
-        flat_sign = flat_sign * (1 - 2.0 * ((flat_idx >> (n - 1 - u)) & 1))
-    result = out.reshape(-1) * flat_sign
-    return bool(np.linalg.norm(result - ket.amps) <= tol)
+        out.reshape(2 ** u, 2, -1)[:, 1] *= -1
+    return bool(np.linalg.norm(out - ket.amps) <= tol)
 
 
 DEFAULT_CONFIG = {  # party -> number of qubit slots
@@ -125,61 +118,58 @@ def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
     """Prepare the circuit state from the resource graph state: rotate each
     auxiliary qubit, measure it, and counter-rotate the gate's targets on
     outcome one.  Enumerates all correction branches and reports the worst
-    infidelity against the direct circuit output (global phase ignored)."""
+    infidelity against the direct circuit output (global phase ignored);
+    ``worst_branch`` is the first branch in outcome order that attains it."""
     alphas = list(alphas)
     if len(alphas) != circ.n_gates:
         raise ValueError("one angle per gate required")
-    _, ket = resource_graph_state(circ)
-    target = circuit_state(circ, alphas)
-    n_t, n_a = circ.n_qubits, circ.n_gates
-    worst = 0.0
-    worst_branch = None
-    probs = []
-    for outcomes in itertools.product((0, 1), repeat=n_a):
-        t = ket.tensor()
-        # auxiliaries occupy the trailing axes; process from the last so
-        # axis positions stay valid after contraction
-        p_branch = 1.0
-        for k in range(n_a - 1, -1, -1):
-            axis = n_t + k
-            alpha = alphas[k]
-            rot = np.array([[np.cos(alpha), 1j * np.sin(alpha)],
-                            [1j * np.sin(alpha), np.cos(alpha)]])
-            t = np.tensordot(rot, t, axes=([1], [axis]))
-            t = np.moveaxis(t, 0, axis)
-            t = np.take(t, outcomes[k], axis=axis)
-            if outcomes[k] == 1:
-                i, j = circ.gates[k]
-                t = _apply_zz_sign(t, t.ndim, i - 1, j - 1)
-        p_branch = float(np.vdot(t, t).real)
-        probs.append(p_branch)
-        vec = t.reshape(-1)
-        fid = abs(np.vdot(target.amps, vec)) ** 2 / max(p_branch, 1e-300)
-        worst = max(worst, 1.0 - fid)
-        if worst == 1.0 - fid:
-            worst_branch = outcomes
+    probs, infid = _mbqc_branches(circ, alphas)
+    n_a = circ.n_gates
+    o = int(np.argmax(infid))
+    worst_branch = tuple((o >> (n_a - 1 - k)) & 1 for k in range(n_a))
+    worst = max(0.0, float(infid[o]))
+    total = float(np.sum(probs))
     report = {
         "branches": 2 ** n_a,
-        "worst_infidelity": float(worst),
+        "worst_infidelity": worst,
         "worst_branch": worst_branch,
-        "total_probability": float(sum(probs)),
+        "total_probability": total,
         "config": dict(DEFAULT_CONFIG),
         "party_slots": {k: ["target", "aux"] if k <= 7 else ["target"]
                         for k in range(1, 9)},
-        "pass": bool(worst <= tol and abs(sum(probs) - 1) < 1e-7),
+        "pass": bool(worst <= tol and abs(total - 1) < 1e-7),
     }
     if not report["pass"]:
         report["failing_branch"] = worst_branch
     return report
 
 
-def _apply_zz_sign(t, n, qi, qj):
-    flat = t.reshape(-1)
-    idx = np.arange(flat.size)
-    zi = (idx >> (n - 1 - qi)) & 1
-    zj = (idx >> (n - 1 - qj)) & 1
-    sign = (1 - 2.0 * zi) * (1 - 2.0 * zj)
-    return (flat * sign).reshape(t.shape)
+def _mbqc_branches(circ: CircuitSpec, alphas):
+    """Probability and infidelity of every correction branch, in outcome
+    order (auxiliary 0 is the most significant outcome bit)."""
+    _, ket = resource_graph_state(circ)
+    target = circuit_state(circ, alphas)
+    n_t, n_a = circ.n_qubits, circ.n_gates
+    # the auxiliary rotations do not depend on the outcomes: apply them all,
+    # then column o of the (targets, auxiliaries) matrix is branch o before
+    # its corrections
+    t = ket.tensor()
+    for k, alpha in enumerate(alphas):
+        rot = np.array([[np.cos(alpha), 1j * np.sin(alpha)],
+                        [1j * np.sin(alpha), np.cos(alpha)]])
+        t = np.moveaxis(np.tensordot(rot, t, axes=([1], [n_t + k])), 0,
+                        n_t + k)
+    branches = t.reshape(2 ** n_t, 2 ** n_a)
+    idx_t = np.arange(2 ** n_t)[:, None]
+    idx_a = np.arange(2 ** n_a)[None, :]
+    for k, (i, j) in enumerate(circ.gates):
+        # exact +-1 sign of Z_i Z_j on the targets, applied where o_k = 1
+        flip = (((idx_t >> (n_t - i)) ^ (idx_t >> (n_t - j)))
+                & (idx_a >> (n_a - 1 - k)) & 1)
+        branches = branches * (1 - 2.0 * flip)
+    probs = np.einsum("ij,ij->j", branches.conj(), branches).real
+    overlaps = target.amps.conj() @ branches
+    return probs, 1.0 - np.abs(overlaps) ** 2 / np.maximum(probs, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +460,14 @@ class DynamicSimulator:
         self.rng = np.random.default_rng(seed)
         self.audit = []
         self.step_count = 0
+        # (party, axis order with the party's slots first, left dimension)
+        # for every party cut that has slots on both sides
+        self._cuts = []
+        for p in sorted(config.slots):
+            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
+            if mine and len(mine) < self.n:
+                rest = [i for i in range(self.n) if i not in mine]
+                self._cuts.append((p, mine + rest, 2 ** len(mine)))
 
     def _pos(self, party, slot):
         try:
@@ -478,17 +476,14 @@ class DynamicSimulator:
             raise ScheduleError(
                 f"party {party} slot {slot} outside the configuration")
 
-    def _record(self):
-        ket = Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
-        ranks = {}
-        for p in sorted(self.config.slots):
-            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
-            if not mine or len(mine) == self.n:
-                continue
-            ranks[p] = schmidt_rank(
-                ket, Bipartition(mine, [i for i in range(self.n)
-                                        if i not in mine]))
-        self.audit.append(ranks)
+    def _ranks(self) -> dict:
+        """Schmidt rank across every party cut of the current state."""
+        norm = np.linalg.norm(self.state)
+        if abs(norm - 1.0) > 1e-6:
+            raise StateError(
+                f"step {self.step_count}: state norm {norm} deviates from 1")
+        return {p: singular_rank(self.state.transpose(order).reshape(dl, -1))
+                for p, order, dl in self._cuts}
 
     def apply(self, step):
         self.step_count += 1
@@ -500,6 +495,11 @@ class DynamicSimulator:
             mat = np.asarray(step["matrix"], dtype=complex)
             if mat.shape != (2 ** len(pos),) * 2:
                 raise ScheduleError("unitary size mismatch")
+            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
+            if not dev <= 1e-9:
+                raise ScheduleError(
+                    f"step {self.step_count}: matrix is not unitary "
+                    f"(max |U^dag U - 1| = {dev:.3g})")
             t = np.moveaxis(self.state, pos, range(len(pos)))
             shp = t.shape
             t = mat @ t.reshape(2 ** len(pos), -1)
@@ -531,16 +531,18 @@ class DynamicSimulator:
             self.state = np.swapaxes(t, src, dst)
         else:
             raise ScheduleError(f"unknown step {op}")
-        self._record()
+        self.audit.append(self._ranks())
         return step
 
     def ket(self) -> Ket:
         return Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
 
     def rank_to_party(self, party) -> int:
-        mine = [i for i, (q, _) in enumerate(self.slots) if q == party]
-        return schmidt_rank(self.ket(), Bipartition(
-            mine, [i for i in range(self.n) if i not in mine]))
+        ranks = self.audit[-1] if self.audit else self._ranks()
+        if party not in ranks:
+            raise ValueError(f"party {party} has no slots on one side of "
+                             "its cut")
+        return ranks[party]
 
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -181,12 +181,9 @@ def reduced_state(psi: Ket, keep) -> DensityOp:
     return DensityOp(m @ m.conj().T, [psi.dims[k] for k in keep], check=False)
 
 
-def schmidt_decompose(psi: Ket, cut: Bipartition, tol: float = DEFAULT_TOL) -> SchmidtForm:
-    """Schmidt decomposition of a normalized ket across ``cut``.
-
-    Coefficients are descending; the rank counts singular values above
-    ``tol`` relative to the largest.
-    """
+def _cut_matrix(psi: Ket, cut: Bipartition, tol: float) -> np.ndarray:
+    """The amplitudes of a normalized ket as a (left, right) matrix, after
+    checking ``tol`` and that ``cut`` covers every subsystem."""
     if not (0 < tol < 1):
         raise ValueError("tol must lie in (0, 1)")
     if abs(np.linalg.norm(psi.amps) - 1.0) > 1e-6:
@@ -196,18 +193,40 @@ def schmidt_decompose(psi: Ket, cut: Bipartition, tol: float = DEFAULT_TOL) -> S
         raise ValueError("bipartition does not cover all subsystems")
     t = np.transpose(psi.tensor(), left + right)
     dl = int(np.prod([psi.dims[k] for k in left]))
-    m = t.reshape(dl, -1)
+    return t.reshape(dl, -1)
+
+
+def _rank_above(s: np.ndarray, tol: float) -> int:
+    """Count of descending singular values above ``tol`` times the largest."""
+    return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+
+
+def schmidt_decompose(psi: Ket, cut: Bipartition, tol: float = DEFAULT_TOL) -> SchmidtForm:
+    """Schmidt decomposition of a normalized ket across ``cut``.
+
+    Coefficients are descending; the rank counts singular values above
+    ``tol`` relative to the largest.
+    """
+    m = _cut_matrix(psi, cut, tol)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    left_dims = [psi.dims[k] for k in left]
-    right_dims = [psi.dims[k] for k in right]
+    rank = _rank_above(s, tol)
+    left_dims = [psi.dims[k] for k in cut.left]
+    right_dims = [psi.dims[k] for k in cut.right]
     lbasis = [Ket(u[:, i], left_dims) for i in range(rank)]
     rbasis = [Ket(vh[i, :], right_dims) for i in range(rank)]
     return SchmidtForm(coeffs=s[:rank].copy(), left_basis=lbasis, right_basis=rbasis)
 
 
 def schmidt_rank(psi: Ket, cut: Bipartition, tol: float = DEFAULT_TOL) -> int:
-    return schmidt_decompose(psi, cut, tol).rank
+    """Rank of ``schmidt_decompose(psi, cut, tol)``, from the singular values
+    alone."""
+    return singular_rank(_cut_matrix(psi, cut, tol), tol)
+
+
+def singular_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Number of singular values of ``m`` above ``tol`` relative to the
+    largest: the Schmidt rank of a ket reshaped to ``m`` across its cut."""
+    return _rank_above(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def schmidt_reconstruct(form: SchmidtForm, cut: Bipartition, dims) -> Ket:
@@ -281,11 +300,14 @@ def conditional_entropy(rho: DensityOp, cut: Bipartition) -> float:
     return h_all - h_right
 
 
-def _hmax_objective(psi_ab: DensityOp, sigma_b: np.ndarray, dim_a: int) -> float:
-    # log2 || sqrt(rho_ab) sqrt(1 x sigma_b) ||_1^2
-    big = np.kron(np.eye(dim_a), sigma_b)
-    s = _sqrtm_psd(psi_ab.mat)
-    inner = s @ big @ s
+def _hmax_objective(sqrt_rho_ab: np.ndarray, sigma_b: np.ndarray,
+                    dim_a: int) -> float:
+    # log2 || sqrt(rho_ab) sqrt(1 x sigma_b) ||_1^2, with sqrt(rho_ab) given
+    dim_b = sigma_b.shape[0]
+    big = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
+    for i in range(0, dim_a * dim_b, dim_b):
+        big[i:i + dim_b, i:i + dim_b] = sigma_b
+    inner = sqrt_rho_ab @ big @ sqrt_rho_ab
     ev = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
     val = float(np.sum(np.sqrt(ev)))
     if val <= 0:
@@ -334,15 +356,17 @@ def hmax_conditional(psi: Ket, cut_a, cut_b, restarts: int = 32,
             return np.eye(dim_b) / dim_b
         return s / tr
 
+    sqrt_rho_ab = _sqrtm_psd(rho_ab.mat)
+
     def neg_obj(x):
-        return -_hmax_objective(rho_ab, unpack(x), dim_a)
+        return -_hmax_objective(sqrt_rho_ab, unpack(x), dim_a)
 
     best = -np.inf
     starts = [np.concatenate([np.eye(dim_b).reshape(-1), np.zeros(dim_b * dim_b)])]
     # bias one start toward the reduced state on b
-    rb = partial_trace(rho_ab, [1]).mat
-    starts.append(np.concatenate([_sqrtm_psd(rb).real.reshape(-1),
-                                  _sqrtm_psd(rb).imag.reshape(-1)]))
+    sqrt_rb = _sqrtm_psd(partial_trace(rho_ab, [1]).mat)
+    starts.append(np.concatenate([sqrt_rb.real.reshape(-1),
+                                  sqrt_rb.imag.reshape(-1)]))
     while len(starts) < max(2, restarts):
         starts.append(rng.normal(size=2 * dim_b * dim_b))
     # imported here, its only use, to keep scipy off every other import path

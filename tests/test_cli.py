@@ -208,6 +208,23 @@ def test_msize_dynamic_cli(tmp_path, capsys):
     assert rep["checks"]["norm_preserved"]
 
 
+@pytest.mark.parametrize("matrix", [
+    [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], [5, 0]]],
+    [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]],
+    ids=["projector", "stretch", "unnormalized-hadamard"])
+def test_msize_dynamic_rejects_non_unitary(tmp_path, capsys, matrix):
+    sched = {"config": {"1": 2, "2": 1},
+             "steps": [{"op": "unitary", "party": 2, "slots": [0],
+                        "matrix": matrix}]}
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(sched))
+    code, out, err = _run(["msize", "dynamic", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "step 1: matrix is not unitary" in err
+
+
 def test_seeded_determinism(tmp_path, capsys):
     path = str(tmp_path / "g.json")
     _run(["example", "ex2", "-o", path], capsys)

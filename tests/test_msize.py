@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from mergekit import qcore
 from mergekit.msize import (
     CONFIG_D0,
     CONFIG_D1,
@@ -23,7 +26,8 @@ from mergekit.msize import (
     verify_dynamic_rank_limit,
     verify_resource_preparation,
 )
-from mergekit.qcore import Bipartition, Ket, schmidt_rank
+from mergekit.msize import _mbqc_branches
+from mergekit.qcore import Bipartition, Ket, schmidt_decompose, schmidt_rank
 
 RNG = np.random.default_rng(17)
 
@@ -245,3 +249,147 @@ def test_scaled_states_at_odd_quarter_multiples():
         assert np.allclose(vec.to_complex() / 2 ** 7.5, psi.amps)
     with pytest.raises(ValueError):
         scaled_quarter_turn_state(c, 2)
+
+
+def _reference_mbqc_branches(circ, alphas):
+    """The per-branch preparation as first written: for each outcome string,
+    rotate, measure and correct the auxiliaries one by one."""
+    _, ket = resource_graph_state(circ)
+    target = circuit_state(circ, alphas)
+    n_t, n_a = circ.n_qubits, circ.n_gates
+    probs, infid = [], []
+    for outcomes in itertools.product((0, 1), repeat=n_a):
+        t = ket.tensor()
+        for k in range(n_a - 1, -1, -1):
+            axis = n_t + k
+            a = alphas[k]
+            rot = np.array([[np.cos(a), 1j * np.sin(a)],
+                            [1j * np.sin(a), np.cos(a)]])
+            t = np.moveaxis(np.tensordot(rot, t, axes=([1], [axis])), 0, axis)
+            t = np.take(t, outcomes[k], axis=axis)
+            if outcomes[k] == 1:
+                i, j = circ.gates[k]
+                flat = t.reshape(-1)
+                idx = np.arange(flat.size)
+                zi = (idx >> (t.ndim - i)) & 1
+                zj = (idx >> (t.ndim - j)) & 1
+                t = (flat * (1 - 2.0 * zi) * (1 - 2.0 * zj)).reshape(t.shape)
+        p = float(np.vdot(t, t).real)
+        probs.append(p)
+        fid = abs(np.vdot(target.amps, t.reshape(-1))) ** 2 / max(p, 1e-300)
+        infid.append(1.0 - fid)
+    return np.array(probs), np.array(infid)
+
+
+def test_mbqc_branches_match_per_branch_reference():
+    cases = [(default_circuit(), [np.pi / 4] * 7),
+             (CircuitSpec(2, [(1, 2)]), [0.7]),
+             (CircuitSpec(4, [(1, 3), (2, 4), (3, 2)]), [0.4, 1.9, 2.6])]
+    for seed in (61, 62, 63):
+        cases.append((default_circuit(),
+                      np.random.default_rng(seed).uniform(0, 2 * np.pi, 7)))
+    for circ, alphas in cases:
+        probs, infid = _mbqc_branches(circ, list(alphas))
+        ref_probs, ref_infid = _reference_mbqc_branches(circ, list(alphas))
+        assert probs.shape == (2 ** circ.n_gates,)
+        assert np.max(np.abs(probs - ref_probs)) < 1e-12
+        assert np.max(np.abs(infid - ref_infid)) < 1e-12
+        rep = mbqc_prepare(circ, alphas)
+        assert rep["pass"]
+        assert abs(rep["total_probability"] - ref_probs.sum()) < 1e-12
+
+
+def test_mbqc_worst_branch_is_first_maximum():
+    # every infidelity here rounds to zero or below, so a running maximum
+    # that starts at zero would never record a branch
+    for circ, alphas in [(CircuitSpec(2, [(1, 2)]), [0.7]),
+                         (CircuitSpec(3, []), []),
+                         (default_circuit(), [np.pi / 4] * 7)]:
+        rep = mbqc_prepare(circ, alphas)
+        _, infid = _mbqc_branches(circ, alphas)
+        first = int(np.argmax(infid))
+        assert rep["worst_branch"] == tuple(
+            (first >> (circ.n_gates - 1 - k)) & 1
+            for k in range(circ.n_gates))
+        assert rep["worst_infidelity"] == max(0.0, float(infid.max()))
+    assert mbqc_prepare(CircuitSpec(3, []), [])["worst_branch"] == ()
+
+
+class _ReferenceSimulator(DynamicSimulator):
+    """The audit as first written: a Ket per step and a full Schmidt
+    decomposition per party cut."""
+
+    def _ranks(self):
+        ket = Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
+        ranks = {}
+        for p in sorted(self.config.slots):
+            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
+            if not mine or len(mine) == self.n:
+                continue
+            rest = [i for i in range(self.n) if i not in mine]
+            ranks[p] = schmidt_decompose(ket, Bipartition(mine, rest)).rank
+        return ranks
+
+
+def _run_both(config, schedule, seed):
+    sims = [DynamicSimulator(config, seed=seed),
+            _ReferenceSimulator(config, seed=seed)]
+    steps = [[sim.apply(step) for step in schedule] for sim in sims]
+    return sims, steps
+
+
+def test_dynamic_audit_matches_per_cut_reference():
+    rng = np.random.default_rng(5151)
+    runs = [(CONFIG_D0, resource_preparation_schedule(), 0)]
+    for trial in range(200):
+        runs.append((CONFIG_D1, random_legal_schedule(
+            CONFIG_D1, rng, length=int(rng.integers(8, 25))), trial))
+    for config, schedule, seed in runs:
+        (fast, ref), (fast_steps, ref_steps) = _run_both(config, schedule,
+                                                         seed)
+        assert fast.audit == ref.audit
+        assert ([s.get("outcome") for s in fast_steps]
+                == [s.get("outcome") for s in ref_steps])
+        assert np.array_equal(fast.state, ref.state)
+        for p in sorted(config.slots):
+            mine = [i for i, (q, _) in enumerate(fast.slots) if q == p]
+            if mine and len(mine) < fast.n:
+                assert fast.rank_to_party(p) == schmidt_rank(
+                    fast.ket(), Bipartition(
+                        mine, [i for i in range(fast.n) if i not in mine]))
+
+
+def test_dynamic_simulate_builds_no_ket_per_step(monkeypatch):
+    rng = np.random.default_rng(808)
+    schedule = random_legal_schedule(CONFIG_D1, rng, length=60)
+    assert len(schedule) >= 24
+    calls = []
+    init = qcore.Ket.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qcore.Ket, "__init__", counting_init)
+    counts = []
+    for length in (8, 24):
+        calls.clear()
+        dynamic_simulate(CONFIG_D1, schedule[:length], seed=3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, 0.0]), np.diag([1.0, 5.0]), np.array([[1.0, 1.0],
+                                                        [1.0, -1.0]])],
+    ids=["projector", "stretch", "unnormalized-hadamard"])
+def test_non_unitary_step_rejected(matrix):
+    sim = DynamicSimulator(CONFIG_D1)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    sim.apply({"op": "unitary", "party": 1, "slots": [0], "matrix": h})
+    before = sim.state.copy()
+    with pytest.raises(ScheduleError, match="step 2: matrix is not unitary"):
+        sim.apply({"op": "unitary", "party": 2, "slots": [0],
+                   "matrix": matrix})
+    assert np.array_equal(sim.state, before)
+    assert len(sim.audit) == 1

@@ -18,10 +18,12 @@ from mergekit.qcore import (
     random_unitary,
     reduced_state,
     schmidt_decompose,
+    schmidt_rank,
     schmidt_reconstruct,
     trace_distance,
     von_neumann_entropy,
 )
+from mergekit.qcore import _sqrtm_psd
 
 RNG = np.random.default_rng(20240811)
 
@@ -90,6 +92,47 @@ def test_schmidt_ghz_cut():
     form = schmidt_decompose(states.ghz(3, 2), Bipartition([0], [1, 2]))
     assert form.rank == 2
     assert np.allclose(form.coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
+
+
+def _planted_ket(coeffs, dl, dr, rng):
+    """Ket on (dl, dr) with the given Schmidt coefficients in random bases."""
+    c = np.asarray(coeffs, dtype=float)
+    c = c / np.linalg.norm(c)
+    u = random_unitary(dl, rng)[:, :len(c)]
+    v = random_unitary(dr, rng)[:, :len(c)]
+    return Ket(((u * c) @ v.T).reshape(-1), (dl, dr))
+
+
+def test_schmidt_rank_matches_decomposition():
+    rng = np.random.default_rng(4242)
+    cases = [
+        (Ket(np.kron([1, 0], [1, 1] / np.sqrt(2)), (2, 2)),
+         Bipartition([0], [1]), 1),
+        (states.bell("phi+"), Bipartition([0], [1]), 2),
+        (states.ghz(3, 2), Bipartition([0], [1, 2]), 2),
+        (states.ghz(3, 3), Bipartition([1], [0, 2]), 3),
+    ]
+    for rank, dl, dr in [(1, 3, 4), (2, 4, 4), (3, 3, 5), (4, 4, 6)]:
+        cases.append((_planted_ket(rng.uniform(0.2, 1.0, rank), dl, dr, rng),
+                      Bipartition([0], [1]), rank))
+    # coefficients 3x above and 3x below the relative threshold 1e-9, and
+    # one that only a threshold relative to the largest coefficient counts
+    cases.append((_planted_ket([1.0, 0.5, 3e-9, 3e-10], 4, 5, rng),
+                  Bipartition([0], [1]), 3))
+    cases.append((_planted_ket([1.0, 1.0, 1.0, 1.0, 1.5e-9], 5, 6, rng),
+                  Bipartition([0], [1]), 5))
+    cases.append((_planted_ket([1.0, 1e-10], 3, 3, rng),
+                  Bipartition([1], [0]), 1))
+    for psi, cut, rank in cases:
+        assert schmidt_rank(psi, cut) == rank
+        assert schmidt_decompose(psi, cut).rank == rank
+    with pytest.raises(ValueError):
+        schmidt_rank(states.bell("phi+"), Bipartition([0], [1]), tol=1.0)
+    with pytest.raises(StateError):
+        schmidt_rank(Ket([1, 0, 0, 1], (2, 2), normalized=False),
+                     Bipartition([0], [1]))
+    with pytest.raises(ValueError):
+        schmidt_rank(states.ghz(3, 2), Bipartition([0], [1]))
 
 
 def test_schmidt_reconstruction_roundtrip():
@@ -239,3 +282,73 @@ def test_hmax_bounded_by_closed_form_on_random_states():
         res = hmax_conditional(psi, [1], [2], restarts=6, seed=trial)
         assert "upper_bound" in res
         assert res["value"] <= res["upper_bound"] + 1e-6
+
+
+def _reference_hmax_value(psi, cut_a, cut_b, restarts, seed, tol=1e-6):
+    """The max-entropy search as first written: the objective takes the
+    square root of rho_AB and builds 1 x sigma_B with kron at every
+    evaluation."""
+    from scipy import optimize
+
+    def objective(rho_ab, sigma_b, dim_a):
+        big = np.kron(np.eye(dim_a), sigma_b)
+        s = _sqrtm_psd(rho_ab.mat)
+        inner = s @ big @ s
+        ev = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0,
+                     None)
+        val = float(np.sum(np.sqrt(ev)))
+        return -np.inf if val <= 0 else 2.0 * np.log2(val)
+
+    rho_ab = reduced_state(psi, cut_a + cut_b)
+    dim_a = int(np.prod([psi.dims[k] for k in cut_a]))
+    dim_b = int(np.prod([psi.dims[k] for k in cut_b]))
+    merged = sorted(cut_a + cut_b)
+    perm = [merged.index(k) for k in cut_a] + [merged.index(k) for k in cut_b]
+    md = [psi.dims[k] for k in merged]
+    t = np.transpose(rho_ab.mat.reshape(md + md),
+                     perm + [len(md) + p for p in perm])
+    rho_ab = DensityOp(t.reshape(dim_a * dim_b, dim_a * dim_b),
+                       (dim_a, dim_b), check=False)
+    rng = np.random.default_rng(seed)
+
+    def neg_obj(x):
+        g = (x[: dim_b * dim_b] + 1j * x[dim_b * dim_b:]).reshape(dim_b,
+                                                                  dim_b)
+        s = g.conj().T @ g
+        tr = np.trace(s).real
+        sigma = np.eye(dim_b) / dim_b if tr <= 1e-300 else s / tr
+        return -objective(rho_ab, sigma, dim_a)
+
+    rb = partial_trace(rho_ab, [1]).mat
+    starts = [np.concatenate([np.eye(dim_b).reshape(-1),
+                              np.zeros(dim_b * dim_b)]),
+              np.concatenate([_sqrtm_psd(rb).real.reshape(-1),
+                              _sqrtm_psd(rb).imag.reshape(-1)])]
+    while len(starts) < max(2, restarts):
+        starts.append(rng.normal(size=2 * dim_b * dim_b))
+    best = -np.inf
+    for x0 in starts[: max(2, restarts)]:
+        res = optimize.minimize(neg_obj, x0, method="Nelder-Mead",
+                                options={"maxiter": 4000, "xatol": tol,
+                                         "fatol": tol * 1e-2})
+        best = max(best, -res.fun)
+    return float(best)
+
+
+def test_hmax_matches_per_evaluation_reference():
+    # the hoisted square root and the block-diagonal 1 x sigma_B leave every
+    # objective value, hence the whole Nelder-Mead path, bit-identical
+    psi = states.converse_gap_state()
+    assert (hmax_conditional(psi, [1], [2], restarts=4, seed=0)["value"]
+            == _reference_hmax_value(psi, [1], [2], restarts=4, seed=0))
+    for trial in range(3):
+        rng = np.random.default_rng(81 + trial)
+        d = 2 + trial % 2
+        v = random_unitary(4, rng)
+        t = np.zeros((d, 4), dtype=complex)
+        for l in range(d):
+            t[l] = v[:, l] / np.sqrt(d)
+        psi = Ket(t.reshape(-1), (d, 2, 2))
+        assert (hmax_conditional(psi, [1], [2], restarts=2, seed=trial)[
+            "value"] == _reference_hmax_value(psi, [1], [2], restarts=2,
+                                              seed=trial))
