@@ -14,7 +14,8 @@ import numpy as np
 from . import msize, netcost, serialize, states, twoway
 from .kidecomp import (MaximalityError, ki_decompose_tripartite,
                        maximality_check)
-from .locc import CompletenessError, InfeasibleError, simulate
+from .locc import (CompletenessError, InfeasibleError, branch_fidelities,
+                   simulate)
 from .mergesplit import (
     merge_converse_search,
     merge_cost_catalytic,
@@ -195,13 +196,9 @@ def cmd_split_cost(args, seed):
     if args.simulate:
         rank = args.rank or int(round(2 ** cost))
         branches, meta = simulate_split(tri, rank)
-        tn = tri.amps / np.linalg.norm(tri.amps)
-        worst = 0.0
-        for b in branches:
-            t = b.state.tensor()
-            got = t[:, :, 0, :, 0].reshape(-1)
-            fid = abs(np.vdot(tn, got / np.linalg.norm(got))) ** 2
-            worst = max(worst, 1 - fid)
+        got = np.stack([b.state.tensor() for b in branches])
+        fid = branch_fidelities(got[:, :, :, 0, :, 0], tri.amps)
+        worst = max(0.0, float(np.max(1 - fid)))
         results["branches"] = len(branches)
         results["worst_infidelity"] = worst
         checks["all_branches_exact"] = bool(worst < 1e-8)

@@ -20,6 +20,10 @@ from .states import max_entangled, pauli_x, pauli_z
 
 COMPLETENESS_TOL = 1e-8
 PRUNE_TOL = 1e-12
+# Operators per stacked product when a family of distinct operators is
+# stacked: large families go a chunk at a time, so that no temporary copy
+# of a whole family is held.
+_CHUNK = 16
 
 
 class InfeasibleError(ValueError):
@@ -130,6 +134,48 @@ class ProtocolOp:
         object.__setattr__(self, "out_dims", out_dims)
 
 
+def _op_views(stack: np.ndarray, in_dims, out_dims) -> list:
+    """One ``ProtocolOp`` per matrix of a stack (n, rows, cols) that the
+    caller owns and hands over: the stack is frozen and each operator views
+    its slice instead of copying it."""
+    in_dims = tuple(int(d) for d in in_dims)
+    out_dims = tuple(int(d) for d in out_dims)
+    if (stack.dtype != complex or stack.ndim != 3
+            or stack.shape[1:] != (math.prod(out_dims), math.prod(in_dims))):
+        raise ValueError(f"operator stack {stack.shape} does not match "
+                         f"{out_dims} x {in_dims}")
+    _frozen(stack)
+    ops = []
+    for mat in stack:
+        op = object.__new__(ProtocolOp)
+        object.__setattr__(op, "mat", mat)
+        object.__setattr__(op, "in_dims", in_dims)
+        object.__setattr__(op, "out_dims", out_dims)
+        ops.append(op)
+    return ops
+
+
+def _isometry_deviation(mats) -> np.ndarray:
+    """max |M^dag M - 1| for every matrix of a sequence or a stack, with
+    one stacked Gram per chunk of equal-shape matrices."""
+    if isinstance(mats, np.ndarray):
+        groups = [(range(len(mats)), mats)]
+    else:
+        shapes = {}
+        for i, m in enumerate(mats):
+            shapes.setdefault(m.shape, []).append(i)
+        groups = [(idx, [mats[i] for i in idx]) for idx in shapes.values()]
+    dev = np.empty(len(mats))
+    for idx, same in groups:
+        for j in range(0, len(idx), _CHUNK):
+            chunk = np.asarray(same[j:j + _CHUNK])
+            gram = np.conj(chunk.transpose(0, 2, 1)) @ chunk
+            diag = np.arange(gram.shape[2])
+            gram[:, diag, diag] -= 1.0
+            dev[idx[j:j + _CHUNK]] = np.abs(gram).max(axis=(1, 2))
+    return dev
+
+
 def _check_complete(ops, tol=COMPLETENESS_TOL, what="instrument"):
     """Audit sum_m M_m^dag M_m = 1 for an instrument.
 
@@ -170,11 +216,11 @@ class OneWayProtocol:
             raise ValueError("sender and receiver operator counts differ")
         if check:
             _check_complete(a_ops, what="sender measurement")
-            for i, op in enumerate(b_ops):
-                g = op.mat.conj().T @ op.mat
-                if np.max(np.abs(g - np.eye(g.shape[0]))) > COMPLETENESS_TOL:
-                    raise CompletenessError(
-                        f"receiver operator {i} is not an isometry")
+            bad = np.flatnonzero(_isometry_deviation(
+                [op.mat for op in b_ops]) > COMPLETENESS_TOL)
+            if bad.size:
+                raise CompletenessError(
+                    f"receiver operator {bad[0]} is not an isometry")
         object.__setattr__(self, "a_ops", a_ops)
         object.__setattr__(self, "b_ops", b_ops)
 
@@ -235,38 +281,137 @@ class SimBranch:
     ownership: tuple = field(default=())
 
 
-def _apply_instrument(amps, dims, positions, groups):
-    """Apply every operator of an instrument to the listed tensor slots.
+def _audit_round(rnd, outcomes):
+    """Resolve and audit the instrument every live branch reaches.
 
-    The input is transposed once to (consumed slots, untouched slots); each
-    group of equal-shape operators is applied as one stacked matmul.  The
-    output subsystems replace the consumed slots at the position of the
-    first consumed slot.  Returns, per outcome in instrument order,
-    (squared norm, normalized amplitudes, new dims)."""
-    rest = [k for k in range(len(dims)) if k not in positions]
-    in_dims = tuple(dims[p] for p in positions)
-    rest_dims = [dims[k] for k in rest]
-    n_before = len([k for k in rest if k < min(positions, default=0)])
-    t = np.transpose(np.asarray(amps).reshape(dims), positions + rest)
-    t = t.reshape(math.prod(in_dims), -1)
-    applied = [None] * sum(len(g[0]) for g in groups)
-    for idx, op_in, op_out, stack in groups:
-        if op_in != in_dims:
-            raise ValueError(f"operator input dims {op_in} do not match "
-                             f"state slots {in_dims}")
-        out = stack @ t
-        norm2 = np.einsum("gij,gij->g", out.conj(), out).real
-        n_out = len(op_out)
-        order = ([0] + [1 + n_out + i for i in range(n_before)]
-                 + [1 + i for i in range(n_out)]
-                 + [1 + n_out + i for i in range(n_before, len(rest))])
-        out = np.transpose(out.reshape((len(idx),) + op_out + tuple(rest_dims)),
-                           order).reshape(len(idx), -1)
-        out /= np.sqrt(np.where(norm2 > 0, norm2, 1.0))[:, None]
-        new_dims = rest_dims[:n_before] + list(op_out) + rest_dims[n_before:]
-        for i, m in enumerate(idx):
-            applied[m] = (float(norm2[i]), out[i], new_dims)
-    return applied, rest, n_before
+    Returns the key per branch and, per reachable key, its operator groups
+    as ((in_dims, out_dims, outcome indices), ...) with one stack per
+    group.  Each reachable instrument is audited once; single-operator
+    instruments of one shape share one stacked Gram check.  Failures come back as
+    (branch index, error) for the first branch that reaches them, so the
+    caller can raise the first in branch order."""
+    inst = rnd.instruments
+    keys, first, failures = [], {}, []
+    for i, o in enumerate(outcomes):
+        key = o if o in inst else () if () in inst else None
+        if key is None:
+            failures.append((i, 0, ValueError(
+                f"no instrument for {rnd.party} conditioned on {o}")))
+            break
+        keys.append(key)
+        first.setdefault(key, i)
+    groups, singles = {}, []
+    for key in first:
+        ops = inst[key]
+        if len(ops) == 1:
+            op = ops[0]
+            singles.append(key)
+            groups[key] = (((op.in_dims, op.out_dims, (0,)),), [op.mat[None]])
+            continue
+        try:
+            stacks = _check_complete(
+                ops, what=f"round for {rnd.party} given {key}")
+        except CompletenessError as err:
+            failures.append((first[key], 0, err))
+            continue
+        groups[key] = (tuple((i, o, tuple(idx)) for idx, i, o, _ in stacks),
+                       [st for *_, st in stacks])
+    dev = _isometry_deviation([inst[k][0].mat for k in singles])
+    for j in np.flatnonzero(dev > COMPLETENESS_TOL):
+        key = singles[j]
+        failures.append((first[key], 0, CompletenessError(
+            f"round for {rnd.party} given {key} completeness deviates "
+            f"by {dev[j]:.3e}")))
+    return keys, groups, failures
+
+
+def _simulate_round(rnd, outcomes, probs, blocks, where, prune):
+    """Apply one round to every live branch.
+
+    Branches are held as blocks of raw amplitudes sharing one layout
+    (amps (n, size), dims, owners); ``where`` gives each branch's
+    (block, row).  Branches of one block that reach instruments of one
+    shape are transposed together and hit with one stacked matmul, with
+    their norms and the prune rule vectorised.  The children come back in
+    lexicographic order of their outcome tuples, regrouped into blocks by
+    their new layout."""
+    keys, groups, failures = _audit_round(rnd, outcomes)
+    batches = {}
+    for i, key in enumerate(keys):
+        if key in groups:           # else its audit failed
+            batches.setdefault((where[i][0], groups[key][0]), []).append(i)
+    plans = []
+    for (b, sig), idx in batches.items():
+        amps, dims, owners = blocks[b]
+        positions = [k for k, o in enumerate(owners) if o == rnd.party]
+        in_dims = tuple(dims[p] for p in positions)
+        for op_in, _, _ in sig:
+            if op_in != in_dims:
+                failures.append((idx[0], 1, ValueError(
+                    f"operator input dims {op_in} do not match state slots "
+                    f"{in_dims}")))
+        plans.append((b, sig, idx, positions))
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+
+    pieces = []
+    for b, sig, idx, positions in plans:
+        amps, dims, owners = blocks[b]
+        rest = [k for k in range(len(dims)) if k not in positions]
+        rest_dims = tuple(dims[k] for k in rest)
+        rest_owners = tuple(owners[k] for k in rest)
+        n_before = len([k for k in rest if k < min(positions, default=0)])
+        rows = [where[i][1] for i in idx]
+        t = amps[rows].reshape((len(idx),) + dims)
+        t = np.transpose(t, [0] + [1 + k for k in positions + rest])
+        t = t.reshape(len(idx), 1, math.prod(dims[p] for p in positions), -1)
+        bkeys = [keys[i] for i in idx]
+        shared = bkeys.count(bkeys[0]) == len(bkeys)
+        for g, (_, op_out, labels) in enumerate(sig):
+            if shared:                  # (branch, op, out, rest)
+                out = groups[bkeys[0]][1][g][None] @ t
+            else:
+                mats = [groups[k][1][g] for k in bkeys]
+                out = np.concatenate([
+                    np.array(mats[j:j + _CHUNK]) @ t[j:j + _CHUNK]
+                    for j in range(0, len(mats), _CHUNK)])
+            norm2 = np.einsum("bgij,bgij->bg", out.conj(), out).real
+            n_out = len(op_out)
+            order = ([0, 1] + [2 + n_out + i for i in range(n_before)]
+                     + [2 + i for i in range(n_out)]
+                     + [2 + n_out + i for i in range(n_before, len(rest))])
+            out = np.transpose(out.reshape(out.shape[:2] + op_out + rest_dims),
+                               order).reshape(out.shape[0], out.shape[1], -1)
+            out /= np.sqrt(np.where(norm2 > 0, norm2, 1.0))[..., None]
+            p = norm2 * probs[idx][:, None]
+            bi, gi = np.nonzero(p >= prune)
+            layout = (rest_dims[:n_before] + op_out + rest_dims[n_before:],
+                      rest_owners[:n_before] + (rnd.party,) * n_out
+                      + rest_owners[n_before:])
+            kept = (out.reshape(bi.size, -1) if bi.size == p.size
+                    else out[bi, gi])
+            pieces.append((layout, kept, np.asarray(idx)[bi],
+                           np.asarray(labels)[gi], p[bi, gi]))
+
+    layouts = {}
+    for piece in pieces:
+        layouts.setdefault(piece[0], []).append(piece)
+    new_blocks, cols = [], []
+    for j, (layout, same) in enumerate(layouts.items()):
+        parts = list(zip(*same))[1:]
+        amps, parent, label, prob = (x[0] if len(x) == 1 else np.concatenate(x)
+                                     for x in parts)
+        new_blocks.append((amps,) + layout)
+        cols.append((parent, label, prob, np.full(len(amps), j),
+                     np.arange(len(amps))))
+    if not cols:
+        return [], np.zeros(0), [], []
+    parent, label, prob, blk, row = (np.concatenate(c) for c in zip(*cols))
+    order = np.lexsort((label, parent))
+    new_outcomes = [outcomes[a] + (m,) for a, m in
+                    zip(parent[order].tolist(), label[order].tolist())]
+    return (new_outcomes, prob[order], new_blocks,
+            list(zip(blk[order].tolist(), row[order].tolist())))
 
 
 def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
@@ -275,13 +420,13 @@ def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
     Accepts a ``LoccProtocol`` or a ``OneWayProtocol`` (the latter with the
     sender on the leading subsystems).  Probabilities follow the Born rule;
     branches below ``prune`` are dropped; instruments are audited for
-    completeness on every reachable conditioning.
+    completeness on every reachable conditioning, each once per round.
 
-    Each branch's state is transposed once per round and every instrument
-    is applied as one stacked matmul per group of equal-shape operators,
-    with the branch norms computed together.  Branches come out in
-    lexicographic order of their outcome tuples, as a per-operator loop
-    would produce them.
+    Each round takes the live branches in batches of one layout and one
+    instrument shape, applied as one stacked matmul; amplitudes stay raw
+    arrays until the end, when each returned branch gets its ``Ket``.
+    Branches come out in lexicographic order of their outcome tuples, as a
+    per-operator loop would produce them.
     """
     if isinstance(protocol, OneWayProtocol):
         na = len(protocol.a_ops[0].in_dims)
@@ -299,53 +444,40 @@ def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
         for s in slots:
             ownership[s] = name
 
-    branches = [(tuple(), 1.0, input_state.amps, list(input_state.dims),
-                 list(ownership))]
+    outcomes, probs = [()], np.ones(1)
+    blocks = [(input_state.amps[None], input_state.dims, tuple(ownership))]
+    where = [(0, 0)]
     for rnd in protocol.rounds:
-        new_branches = []
-        for outcomes, prob, amps, dims, owners in branches:
-            if outcomes in rnd.instruments:
-                key = outcomes
-            elif () in rnd.instruments:
-                key = ()
-            else:
-                raise ValueError(
-                    f"no instrument for {rnd.party} conditioned on {outcomes}")
-            groups = _check_complete(rnd.instruments[key],
-                                     what=f"round for {rnd.party} given {key}")
-            positions = [k for k, o in enumerate(owners) if o == rnd.party]
-            applied, rest, n_before = _apply_instrument(amps, dims, positions,
-                                                        groups)
-            rest_owners = [owners[k] for k in rest]
-            for m, (norm2, new_amps, new_dims) in enumerate(applied):
-                p = norm2 * prob
-                if p < prune:
-                    continue
-                n_new = len(new_dims) - len(rest)
-                new_owners = (rest_owners[:n_before] + [rnd.party] * n_new
-                              + rest_owners[n_before:])
-                new_branches.append(
-                    (outcomes + (m,), p, new_amps, new_dims, new_owners))
-        branches = new_branches
+        outcomes, probs, blocks, where = _simulate_round(
+            rnd, outcomes, probs, blocks, where, prune)
 
-    total = sum(b[1] for b in branches)
+    probs = probs.tolist()
+    total = sum(probs)
     if abs(total - 1.0) > 1e-7:
         raise CompletenessError(
             f"branch probabilities sum to {total}, expected 1")
     return [SimBranch(outcomes=o, prob=p,
-                      state=Ket(a, d, normalized=False), ownership=tuple(w))
-            for o, p, a, d, w in branches]
+                      state=Ket(blocks[b][0][r], blocks[b][1],
+                                normalized=False),
+                      ownership=blocks[b][2])
+            for o, p, (b, r) in zip(outcomes, probs, where)]
+
+
+def branch_fidelities(amps, target) -> np.ndarray:
+    """|<target|a>|^2 / (|a|^2 |target|^2) for every row ``a`` of the
+    stacked branch amplitudes ``amps`` (n, ...), in one product."""
+    a = np.asarray(amps).reshape(len(amps), -1)
+    t = np.asarray(target).reshape(-1)
+    if a.shape[1] != t.size:
+        raise ValueError(f"state sizes differ: {a.shape[1]} vs {t.size}")
+    norm2 = np.einsum("ij,ij->i", a.conj(), a).real * np.vdot(t, t).real
+    return np.abs(a @ t.conj()) ** 2 / norm2
 
 
 def branch_fidelity(branch_state: Ket, target: Ket) -> float:
     """|<target|branch>|^2 on the flattened amplitudes; subsystem layouts
     must already agree up to dimension-1 slots."""
-    a = branch_state.amps.reshape(-1)
-    b = target.amps.reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"state sizes differ: {a.size} vs {b.size}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    return float(abs(np.vdot(b, a)) ** 2 / (na * nb) ** 2)
+    return float(branch_fidelities([branch_state.amps], target.amps)[0])
 
 
 def _transfer_chain(x: np.ndarray, target_rank: int, tol: float = 1e-12):
@@ -461,11 +593,10 @@ def distill_to_max_entangled(source: Ket, target_rank: int,
 
     a_in = tuple(source.dims[k] for k in cut.left)
     b_in = tuple(source.dims[k] for k in cut.right)
-    a_ops, b_ops = [], []
-    for a_m, b_m in zip(a_branch, b_branch):
-        a_ops.append(ProtocolOp(w_a @ a_m @ ua, a_in, (L,)))
-        b_full = _extend_isometry(w_b @ b_m @ ub, dim_b)
-        b_ops.append(ProtocolOp(b_full, b_in, (L, junk)))
+    a_ops = [ProtocolOp(w_a @ a_m @ ua, a_in, (L,)) for a_m in a_branch]
+    b_full = _extend_isometry(np.stack([w_b @ b_m @ ub for b_m in b_branch]),
+                              dim_b)
+    b_ops = [ProtocolOp(b, b_in, (L, junk)) for b in b_full]
 
     # completion outcomes restoring exact sender completeness
     acc = np.zeros((dim_a, dim_a), dtype=complex)
@@ -485,22 +616,46 @@ def distill_to_max_entangled(source: Ket, target_rank: int,
 
 def _extend_isometry(mat: np.ndarray, dim_in: int) -> np.ndarray:
     """Extend a norm-preserving map defined on a subspace of the input to a
-    full isometry, routing the deficit into unused image rows."""
-    out = mat.copy()
-    gap = np.eye(dim_in) - out.conj().T @ out
-    if np.max(np.abs(gap)) < 1e-14:
-        return out
-    ev, vec = np.linalg.eigh((gap + gap.conj().T) / 2)
-    row_norms = np.abs(out).sum(axis=1)
-    free = np.flatnonzero(row_norms < 1e-12)
-    fi = 0
-    for k in range(ev.size):
-        if ev[k] > 1e-12:
-            if fi >= free.size:
-                raise ValueError("no room to extend isometry")
-            out[free[fi]] = np.sqrt(ev[k]) * vec[:, k].conj()
-            fi += 1
+    full isometry, routing the deficit into unused image rows.
+
+    ``mat`` is one matrix (rows, dim_in) or a stack (n, rows, dim_in); a
+    complex array is filled in place and returned.  The deficit
+    1 - M^dag M is factored as R^dag R by a Cholesky sweep in coordinate
+    order that skips zero pivots; for a partial isometry this is
+    Gram-Schmidt of the deficit range in coordinate order, so the rows it
+    adds depend continuously on M.  They fill the unused (all-zero) rows of
+    M in order."""
+    out = np.asarray(mat, dtype=complex)
+    stack = out.reshape((-1,) + out.shape[-2:])
+    need = np.flatnonzero(_isometry_deviation(stack) >= 1e-14)
+    for j in range(0, need.size, _CHUNK):
+        part = need[j:j + _CHUNK]
+        stack[part] = _fill_deficit(stack[part], dim_in)
     return out
+
+
+def _fill_deficit(sub: np.ndarray, dim_in: int) -> np.ndarray:
+    """The rows R^dag R = 1 - M^dag M of ``_extend_isometry`` placed in the
+    free rows of each matrix of the stack ``sub``."""
+    gap = np.eye(dim_in) - np.conj(sub.transpose(0, 2, 1)) @ sub
+    gap = (gap + np.conj(gap.transpose(0, 2, 1))) / 2
+    rows = np.zeros_like(gap)
+    used = np.zeros(gap.shape[:2], dtype=bool)
+    for c in range(dim_in):
+        pivot = gap[:, c, c].real
+        ok = pivot > 1e-12
+        if not ok.any():
+            continue
+        col = gap[:, :, c] * (ok / np.sqrt(np.where(ok, pivot, 1.0)))[:, None]
+        rows[:, c] = col.conj()
+        used[:, c] = ok
+        gap -= col[:, :, None] * col.conj()[:, None, :]
+    free = np.abs(sub).sum(axis=2) < 1e-12
+    n_used = used.sum(axis=1)
+    if np.any(free.sum(axis=1) < n_used):
+        raise ValueError("no room to extend isometry")
+    sub[free & (np.cumsum(free, axis=1) <= n_used[:, None])] = rows[used]
+    return sub
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

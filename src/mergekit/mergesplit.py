@@ -24,8 +24,10 @@ from .locc import (
     OneWayProtocol,
     ProtocolOp,
     _extend_isometry,
+    _op_views,
     _teleport_bell_bra,
     _teleport_correction,
+    branch_fidelities,
     one_way_to_locc,
     simulate,
     uniform_distill,
@@ -180,20 +182,24 @@ def merge_converse_search(psi: Ket, l_max: int = None, k_max: int = None) -> Con
     lhs = _padded_prefix_sums(ev_b, k_max, n)
     rhs = _padded_prefix_sums(ev_ab, l_max, n)
     rhs_tol = rhs + 1e-9
+    # The whole (K, L) grid at once, in row chunks that bound the (K, L, n)
+    # comparison; the first minimum in row-major order is what a scan with
+    # strict updates keeps, and ties compare exactly.
+    values = (np.log2(np.arange(1, k_max + 1))[:, None]
+              - np.log2(np.arange(1, l_max + 1))[None, :])
     best = None
     witness = None
-    for k in range(1, k_max + 1):
-        ok = None
-        for l in range(1, l_max + 1):
-            value = np.log2(k) - np.log2(l)
-            if best is not None and value >= best:
-                continue
-            if ok is None:
-                ok = ((np.abs(lhs[k - 1, -1] - rhs[:, -1]) <= 1e-9)
-                      & np.all(lhs[k - 1] <= rhs_tol, axis=1))
-            if ok[l - 1]:
-                best = value
-                witness = (k, l)
+    step = max(1, (1 << 20) // (l_max * n))
+    for k0 in range(0, k_max, step):
+        rows = lhs[k0:k0 + step]
+        ok = ((np.abs(rows[:, -1, None] - rhs[None, :, -1]) <= 1e-9)
+              & np.all(rows[:, None, :] <= rhs_tol[None], axis=2))
+        masked = np.where(ok, values[k0:k0 + step], np.inf)
+        at = int(np.argmin(masked))
+        value = masked.flat[at]
+        if value < np.inf and (best is None or value < best):
+            best = value
+            witness = (k0 + at // l_max + 1, at % l_max + 1)
     closed = None
     rho_r = reduced_state(psi, [0]).mat
     d = rho_r.shape[0]
@@ -397,16 +403,14 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
         (_block_a_terms(blk, s, setting, k_total, l_total, da)
          for blk, s in zip(blocks, sub)),
         n1, n2, fourier * scales, (l_total, da * k_total))
-    a_ops = [ProtocolOp(m, (da, k_total), (l_total,)) for m in a_all]
-    if sender_only:
-        b_ops = []
-    else:
+    a_ops = _op_views(a_all, (da, k_total), (l_total,))
+    if not sender_only:
         b_all = _fourier_combine(
             (_block_b_terms(blk, s, setting, k_total, l_total, da, db, junk)
              for blk, s in zip(blocks, sub)),
             n1, n2, fourier.conj(), (d_out_b, db * k_total))
-        b_ops = [ProtocolOp(_extend_isometry(m, db * k_total),
-                            (db, k_total), out_b_dims) for m in b_all]
+        b_ops = _op_views(_extend_isometry(b_all, db * k_total),
+                          (db, k_total), out_b_dims)
 
     # completion outcomes for directions outside the blocks' reach
     flat = a_all.reshape(-1, da * k_total)
@@ -415,21 +419,17 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
     if evg.min() < -1e-7:
         raise RuntimeError(
             f"sender family exceeded completeness by {-evg.min():.2e}")
-    fallback = None
-    if not sender_only:
-        fallback = _extend_isometry(
-            np.zeros((d_out_b, db * k_total), dtype=complex), db * k_total)
-    for i in range(evg.size):
-        if evg[i] > 1e-10:
-            m = np.zeros((l_total, da * k_total), dtype=complex)
-            m[0, :] = np.sqrt(max(evg[i], 0.0)) * vecg[:, i].conj()
-            a_ops.append(ProtocolOp(m, (da, k_total), (l_total,)))
-            if not sender_only:
-                b_ops.append(ProtocolOp(fallback, (db, k_total), out_b_dims))
-
+    fill = np.flatnonzero(evg > 1e-10)
+    extra = np.zeros((fill.size, l_total, da * k_total), dtype=complex)
+    extra[:, 0, :] = np.sqrt(evg[fill])[:, None] * vecg[:, fill].conj().T
+    a_ops += _op_views(extra, (da, k_total), (l_total,))
     if sender_only:
         b_ops = [ProtocolOp(np.eye(db * k_total), (db, k_total),
-                            (db, k_total)) for _ in a_ops]
+                            (db, k_total))] * len(a_ops)
+    else:
+        # the canonical extension of the zero map: the leading rows of 1
+        b_ops += [ProtocolOp(np.eye(d_out_b, db * k_total), (db, k_total),
+                             out_b_dims)] * fill.size
     proto = OneWayProtocol(a_ops, b_ops)
     return MergeProtocol(one_way=proto, resource_rank=k_total,
                          returned_rank=l_total, setting=setting,
@@ -458,6 +458,11 @@ def _fourier_combine(terms, n1, n2, weights, shape):
     return out.reshape(-1, rows, cols)
 
 
+# Fixed contraction orders for the per-block einsums, so that no call
+# searches for a path: the Bell bras meet the ambient vectors first.
+_BRAS_FIRST = ["einsum_path", (1, 2), (0, 1)]
+
+
 def _block_a_terms(blk, s, setting, k_total, l_total, da):
     """Sender-side matrices of one block for every pair of local outcome
     labels (m1, m2), mapping (sender, resource) to the returned register;
@@ -472,14 +477,14 @@ def _block_a_terms(blk, s, setting, k_total, l_total, da):
     if setting == "catalytic":
         d1 = np.reshape(s["a_mats"], (n_out, s["target"], dl, kj))
         core = np.einsum("uxlc,vrd,lra->uvxadc", d1, bras, grid_bra,
-                         optimize=True)         # (.., lj, da, dj, kj)
+                         optimize=_BRAS_FIRST)  # (.., lj, da, dj, kj)
         # the rj resource copies pass through untouched
         out = np.einsum("uvxadc,st->uvxsadct", core, np.eye(rj))
         return out.reshape(n_out, -1, l_total, da * k_total)
 
     d1 = np.reshape(s["a_mats"], (n_out, dj, dl, k_total))
     core = np.einsum("uxlk,vrx,lra->uvak", d1, bras, grid_bra,
-                     optimize=True)
+                     optimize=_BRAS_FIRST)
     return core.reshape(n_out, -1, 1, da * k_total)
 
 
@@ -499,13 +504,14 @@ def _block_b_terms(blk, s, setting, k_total, l_total, da, db, junk):
     # outcome-independent factors: omega, the ambient vectors grid_a,
     # the receiver map and the coordinate bras
     fixed = np.einsum("lP,lrA,BPq,pqb->rABpb", blk.omega, blk.grid_a,
-                      w_embed, q_coord, optimize=True)
+                      w_embed, q_coord,
+                      optimize=["einsum_path", (2, 3), (0, 1), (0, 1)])
     d_rows = da * db * l_total * junk
 
     if setting == "catalytic":
         dwb = np.reshape(s["b_mats"], (n_out, lj, bl, kj))
         core = np.einsum("vrd,rABpb,uxpc->uvABxbdc", sigma_t, fixed, dwb,
-                         optimize=True)
+                         optimize=["einsum_path", (1, 2), (0, 1)])
         # axes: A=merged copy, B=receiver, x=distilled, b=receiver in,
         #       d=shared teleport factor, c=distillation factor
         out = np.zeros((n_out, n2j, da, db, lj, rj, junk, db, dj, kj, rj),
@@ -516,7 +522,7 @@ def _block_b_terms(blk, s, setting, k_total, l_total, da, db, junk):
 
     dwb = np.reshape(s["b_mats"], (n_out, dj, bl, k_total))
     core = np.einsum("vrx,rABpb,uxpc->uvABbc", sigma_t, fixed, dwb,
-                     optimize=True)
+                     optimize=["einsum_path", (0, 2), (0, 1)])
     out = np.zeros((n_out, n2j, da, db, 1, junk, db, k_total), dtype=complex)
     out[:, :, :, :, 0, 0] = core
     return out.reshape(n_out, n2j, d_rows, db * k_total)
@@ -526,12 +532,9 @@ def verify_merge_protocol(psi: Ket, proto: MergeProtocol, tol: float = 1e-8):
     """Exhaustively simulate the protocol; returns (ok, worst_infidelity,
     branch_count)."""
     branches = simulate(proto.locc(), proto.input_state(psi))
-    target = proto.target_state(psi)
-    tn = target.amps / np.linalg.norm(target.amps)
-    worst = 0.0
-    for b in branches:
-        fid = abs(np.vdot(tn, b.state.amps / np.linalg.norm(b.state.amps))) ** 2
-        worst = max(worst, 1.0 - fid)
+    fid = branch_fidelities([b.state.amps for b in branches],
+                            proto.target_state(psi).amps)
+    worst = max(0.0, float(np.max(1.0 - fid)))
     return worst <= tol, worst, len(branches)
 
 
@@ -554,11 +557,9 @@ def approx_merge_candidate(psi: Ket, psi_tilde: Ket, eps: float,
         proto = merge_protocol(psi_tilde, "catalytic", ki=ki, delta=delta,
                                seed=seed)
         branches = simulate(proto.locc(), proto.input_state(psi))
-        target = proto.target_state(psi_tilde)
-        tn = target.amps / np.linalg.norm(target.amps)
-        fid = sum(b.prob * abs(np.vdot(
-            tn, b.state.amps / np.linalg.norm(b.state.amps))) ** 2
-            for b in branches)
+        fid = np.dot([b.prob for b in branches], branch_fidelities(
+            [b.state.amps for b in branches],
+            proto.target_state(psi_tilde).amps))
         out["achieved_fidelity"] = float(fid)
         out["meets_bound"] = bool(fid >= 1.0 - eps ** 2 - 1e-9)
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kidecomp import ki_decompose_tripartite
-from .locc import InfeasibleError, simulate
+from .locc import InfeasibleError, branch_fidelities, simulate
 from .mergesplit import merge_protocol, simulate_split
 from .qcore import Bipartition, Ket, schmidt_rank
 from .states import max_entangled
@@ -189,14 +189,10 @@ def _verify_split_edge(phi: Ket, n_parties: int, side, rank: int) -> float:
     d_move = int(np.prod([phi.dims[i] for i in move]))
     tri = Ket(grouped.amps, (d_keep, 1, d_move))
     branches, meta = simulate_split(tri, rank)
-    worst = 0.0
-    tn = tri.amps / np.linalg.norm(tri.amps)
-    for b in branches:
-        t = b.state.tensor()  # (keep, 1, 1, moved, junk)
-        got = t[:, 0, 0, :, 0].reshape(-1)
-        fid = abs(np.vdot(tn, got / np.linalg.norm(got))) ** 2
-        worst = max(worst, 1.0 - fid)
-    return worst
+    # branch states on (keep, 1, 1, moved, junk)
+    got = np.stack([b.state.tensor() for b in branches])
+    fid = branch_fidelities(got[:, :, 0, 0, :, 0], tri.amps)
+    return max(0.0, float(np.max(1.0 - fid)))
 
 
 def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,

@@ -8,6 +8,7 @@ subsystem k on axis k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,12 @@ class Ket:
         dims = tuple(int(d) for d in dims)
         if len(dims) == 0 or any(d < 1 for d in dims):
             raise ValueError("dims must be non-empty positive integers")
-        if amps.size != int(np.prod(dims)):
+        if amps.size != math.prod(dims):
             raise ValueError(
                 f"amplitude length {amps.size} does not match dims {dims}"
             )
-        norm = np.linalg.norm(amps)
         if normalized:
+            norm = np.linalg.norm(amps)
             if abs(norm - 1.0) > 1e-6:
                 raise StateError(f"ket norm {norm} deviates from 1")
             if abs(norm - 1.0) > 1e-12 and norm > 0:
@@ -324,8 +325,9 @@ def hmax_conditional(psi: Ket, cut_a, cut_b, restarts: int = 32,
     maximum; when the complement of ``cut_a + cut_b`` is maximally mixed the
     closed-form upper bound ``log2(lambda0_B * D)`` is reported alongside.
 
-    Returns a dict with ``value``, ``certified_lower``, and optionally
-    ``upper_bound``.
+    Returns a dict with ``value``, ``certified_lower``,
+    ``restarts_at_cap`` (the starts that Nelder-Mead ended at its iteration
+    cap, status 2) and optionally ``upper_bound``.
     """
     cut_a = sorted(int(k) for k in cut_a)
     cut_b = sorted(int(k) for k in cut_b)
@@ -372,13 +374,16 @@ def hmax_conditional(psi: Ket, cut_a, cut_b, restarts: int = 32,
     # imported here, its only use, to keep scipy off every other import path
     from scipy import optimize
 
+    at_cap = 0
     for x0 in starts[: max(2, restarts)]:
         res = optimize.minimize(neg_obj, x0, method="Nelder-Mead",
                                 options={"maxiter": 4000, "xatol": tol,
                                          "fatol": tol * 1e-2})
         best = max(best, -res.fun)
+        at_cap += res.status == 2
 
-    out = {"value": float(best), "certified_lower": True}
+    out = {"value": float(best), "certified_lower": True,
+           "restarts_at_cap": int(at_cap)}
     rest = [k for k in range(psi.nsys) if k not in cut_a and k not in cut_b]
     if rest:
         rho_r = reduced_state(psi, rest)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kidecomp import ki_decompose_tripartite
-from .locc import OneWayProtocol, ProtocolOp, _extend_isometry, simulate
+from .locc import (OneWayProtocol, ProtocolOp, _extend_isometry,
+                   branch_fidelities, simulate)
 from .qcore import Ket, reduced_state
 from .states import max_entangled, pauli_x, pauli_z
 
@@ -241,12 +242,8 @@ def verify_one_way(inst: SeparationInstance, tamper: bool = False,
     branches = simulate(locc, inp)
     target = np.zeros((3, 1, DIM, DIM, 2), dtype=complex)
     target[:, 0, :, :, 0] = psi.tensor()
-    tn = target.reshape(-1)
-    tn = tn / np.linalg.norm(tn)
-    worst = 0.0
-    for b in branches:
-        fid = abs(np.vdot(tn, b.state.amps / np.linalg.norm(b.state.amps))) ** 2
-        worst = max(worst, 1.0 - fid)
+    fid = branch_fidelities([b.state.amps for b in branches], target)
+    worst = max(0.0, float(np.max(1.0 - fid)))
     structure = _coarse_structure_check(inst, psi)
     report = {
         "resource_rank": 2,

@@ -20,7 +20,8 @@ from mergekit.locc import (
     spectrum,
     teleport_protocol,
 )
-from mergekit.qcore import Bipartition, DensityOp, Ket, random_ket
+from mergekit.qcore import (Bipartition, DensityOp, Ket, random_ket,
+                            random_unitary)
 
 RNG = np.random.default_rng(42)
 
@@ -324,6 +325,35 @@ def _per_operator_simulate(protocol, state, prune=PRUNE_TOL):
     return branches
 
 
+def _mixed_shape_rounds():
+    """Three rounds on slots (A, B, A): A's first instrument leaves its slot
+    with dimension 1 or 2, so the conditioned rounds see branches of
+    different dims; B's instruments per key differ in length and shape."""
+    h = np.sqrt(0.5)
+    first = [ProtocolOp(h * np.array([[1, 0]]), (2,), (1,)),
+             ProtocolOp(h * np.eye(2), (2,), (2,)),
+             ProtocolOp(h * np.array([[0, 1]]), (2,), (1,))]
+    u = random_unitary(3, np.random.default_rng(3))
+    c, s = np.cos(0.3), np.sin(0.3)
+    b_round = {
+        (0,): [ProtocolOp(u, (3,), (3,))],
+        (1,): [ProtocolOp(c * u[:2], (3,), (2,)),
+               ProtocolOp(s * u, (3,), (3,)),
+               ProtocolOp(c * u[2:], (3,), (1,))],
+        (2,): [ProtocolOp(h * np.eye(3), (3,), (3,)),
+               ProtocolOp(h * u, (3,), (3,))],
+    }
+    a_round = {}
+    for key in [(0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]:
+        if key[0] == 1:
+            a_round[key] = [ProtocolOp(h * np.eye(2), (2,), (2,)),
+                            ProtocolOp(h * np.array([[0, 1], [1, 0]]), (2,),
+                                       (2,))]
+        else:
+            a_round[key] = [ProtocolOp(np.eye(1), (1,), (1,))]
+    return [Round("A", {(): first}), Round("B", b_round), Round("A", a_round)]
+
+
 def _simulator_cases():
     from mergekit import twoway
     from mergekit.mergesplit import merge_protocol, split_protocol
@@ -360,6 +390,18 @@ def _simulator_cases():
            ProtocolOp(h * np.array([[0, 1]]), (2,), (1,))]
     cases.append((LoccProtocol({"A": (1,)}, [Round("A", {(): ops})]),
                   random_ket([3, 2, 2], rng)))
+    # conditioned rounds over branches of different dims, per-key
+    # instruments of different lengths and shapes
+    rounds = _mixed_shape_rounds()
+    cases.append((LoccProtocol({"A": (1,), "B": (2,)}, rounds),
+                  random_ket([2, 2, 3], rng)))
+    # unconditioned rounds after the branching one, reached by every branch
+    ident = [ProtocolOp(np.eye(2), (2,), (2,))]
+    cases.append((LoccProtocol({"A": (0,), "B": (1,)},
+                               [Round("B", {(): ident}),
+                                Round("A", {(): rounds[0].instruments[()]}),
+                                Round("B", {(): ident})]),
+                  random_ket([2, 2], rng)))
     return cases
 
 
@@ -388,3 +430,48 @@ def test_simulate_prunes_below_tolerance_like_reference():
     assert [b.outcomes for b in got] == [w[0] for w in want] == [(0,)]
     assert abs(got[0].prob - want[0][1]) <= 1e-12
     assert np.max(np.abs(got[0].state.amps - want[0][2])) <= 1e-12
+
+
+def test_incomplete_instrument_on_one_branch_is_named():
+    rounds = _mixed_shape_rounds()
+    short = dict(rounds[1].instruments)
+    short[(2,)] = short[(2,)][:1]            # reached only by branch (2,)
+    proto = LoccProtocol({"A": (1,), "B": (2,)},
+                         [rounds[0], Round("B", short)], check=False)
+    with pytest.raises(CompletenessError, match=r"given \(2,\)"):
+        simulate(proto, random_ket([2, 2, 3], RNG))
+    # the first failing key in branch order is named, whichever kind of
+    # instrument fails first
+    bad = dict(rounds[1].instruments)
+    bad[(0,)] = [ProtocolOp(0.5 * np.eye(3), (3,), (3,))]
+    bad[(1,)] = bad[(1,)][:2]
+    proto = LoccProtocol({"A": (1,), "B": (2,)},
+                         [rounds[0], Round("B", bad)], check=False)
+    with pytest.raises(CompletenessError, match=r"given \(0,\)"):
+        simulate(proto, random_ket([2, 2, 3], RNG))
+    # an instrument no branch reaches is not audited: outcome 2 is pruned
+    inp = Ket(np.kron([1, 0, 0, 0], random_ket([3], RNG).amps), (2, 2, 3))
+    assert [b.outcomes for b in simulate(
+        LoccProtocol({"A": (1,), "B": (2,)}, [rounds[0], Round("B", short)],
+                     check=False), inp)] == [(0, 0), (1, 0), (1, 1), (1, 2)]
+
+
+def test_simulate_builds_one_ket_per_returned_branch(monkeypatch):
+    import mergekit.qcore as qcore
+
+    proto = LoccProtocol({"A": (1,), "B": (2,)}, _mixed_shape_rounds())
+    inp = random_ket([2, 2, 3], RNG)
+    calls = []
+    init = qcore.Ket.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qcore.Ket, "__init__", counting_init)
+    branches = simulate(proto, inp)
+    assert len(calls) == len(branches)
+    calls.clear()
+    teleported = simulate(teleport_protocol(3), random_ket([3], RNG).kron(
+        states.max_entangled(3)))
+    assert len(calls) == len(teleported) + 2      # the two input kets

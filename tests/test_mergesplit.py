@@ -584,3 +584,40 @@ def test_catalytic_layouts_on_rational_spectra():
         ok, worst, _ = verify_merge_protocol(psi, proto)
         assert ok, f"lam={num}/{den} dq={dq} worst={worst}"
         done += 1
+
+
+def test_receiver_extension_is_canonical(monkeypatch):
+    # (2, 4, 2) state with redundant spectrum (3/4, 1/4): every receiver map
+    # leaves a degenerate deficit (rank 4 catalytic, rank 2 non-catalytic)
+    # whose eigenvectors used to fill the free rows arbitrarily, so that
+    # operators 17, 19 and 3, 7, 11, 15 jumped with last-bit changes; the
+    # coordinate-order extension moves no more than the maps when they are
+    # nudged by 1e-15
+    import mergekit.mergesplit as ms
+    from mergekit.locc import _extend_isometry
+
+    omega = np.diag([np.sqrt(0.75), np.sqrt(0.25)])
+    t = np.einsum("Rx,ab->Raxb", np.eye(2) / np.sqrt(2), omega)
+    psi = Ket(t.reshape(-1), (2, 4, 2))
+    ki = ki_decompose_tripartite(psi)
+    for setting, jumped, rank in (("catalytic", [17, 19], 4),
+                                  ("non-catalytic", [3, 7, 11, 15], 2)):
+        rng = np.random.default_rng(11)
+        deficits = []
+
+        def nudged(mat, dim_in):
+            gram = np.einsum("nri,nrj->nij", mat.conj(), mat)
+            deficits.extend(np.rint(np.trace(np.eye(dim_in) - gram,
+                                             axis1=1, axis2=2).real))
+            noise = rng.normal(size=mat.shape) + 1j * rng.normal(
+                size=mat.shape)
+            return _extend_isometry(mat + 1e-15 * noise, dim_in)
+
+        base = merge_protocol(psi, setting, ki=ki).one_way.b_ops
+        monkeypatch.setattr(ms, "_extend_isometry", nudged)
+        moved = merge_protocol(psi, setting, ki=ki).one_way.b_ops
+        monkeypatch.undo()
+        assert deficits == [rank] * len(deficits)
+        assert set(jumped) <= set(range(len(deficits)))
+        for a, b in zip(base[:len(deficits)], moved):
+            assert np.max(np.abs(a.mat - b.mat)) <= 1e-12

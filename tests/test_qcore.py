@@ -352,3 +352,27 @@ def test_hmax_matches_per_evaluation_reference():
         assert (hmax_conditional(psi, [1], [2], restarts=2, seed=trial)[
             "value"] == _reference_hmax_value(psi, [1], [2], restarts=2,
                                               seed=trial))
+
+
+def test_hmax_reports_restarts_at_iteration_cap(monkeypatch):
+    # mixed-complement qubit state on which one of the two Nelder-Mead
+    # starts stops at the 4000-iteration cap (status 2)
+    from scipy import optimize
+
+    statuses = []
+    minimize = optimize.minimize
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    v = random_unitary(4, np.random.default_rng(84))
+    psi = Ket((v[:, :2].T / np.sqrt(2)).reshape(-1), (2, 2, 2))
+    res = hmax_conditional(psi, [1], [2], restarts=2, seed=0)
+    assert statuses == [2, 0]
+    assert res["restarts_at_cap"] == 1
+    statuses.clear()
+    res = hmax_conditional(states.bell("phi+"), [0], [1], restarts=2)
+    assert res["restarts_at_cap"] == statuses.count(2) == 0
