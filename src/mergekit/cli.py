@@ -357,8 +357,6 @@ def build_parser():
         description="entanglement costs of one-shot merging, splitting, and "
                     "network encoding/decoding, certified by simulation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("example", help="write a built-in state to a file")
@@ -441,7 +439,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    np.random.seed(args.seed)
     try:
         report = args.func(args, args.seed)
     except (StateError, InfeasibleError, CompletenessError, MaximalityError,

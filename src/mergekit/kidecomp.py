@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import Ket, reduced_state
+from .qcore import Ket, reduced_state, singular_rank
 
 PROP_TOL = 1e-8       # relative Frobenius tolerance for proportionality
 EIG_TOL = 1e-9        # eigenvalues in (-tol, tol] go to the non-positive side
@@ -216,7 +216,7 @@ def _live_left_rank(block: KIBlock, identity_op: np.ndarray,
     directions outside it carry no weight and cannot be steered."""
     y = _block_form(block, identity_op)
     marg = np.einsum("lrmr->lm", y, optimize=False)
-    return _rank((marg + marg.conj().T) / 2, tol)
+    return singular_rank((marg + marg.conj().T) / 2, tol)
 
 
 def r_combine_step(partition: KIPartition, steered, candidates_by_dim,
@@ -242,11 +242,11 @@ def r_combine_step(partition: KIPartition, steered, candidates_by_dim,
                 y10 = _cross_form(b1, b0, x)
                 for a_vec in vecs0:
                     rho_a = _contract(y00, a_vec, a_vec)
-                    if _rank(rho_a, supp_tol) < live[j0]:
+                    if singular_rank(rho_a, supp_tol) < live[j0]:
                         continue
                     for b_vec in vecs1:
                         rho_b = _contract(y11, b_vec, b_vec)
-                        if _rank(rho_b, supp_tol) < live[j1]:
+                        if singular_rank(rho_b, supp_tol) < live[j1]:
                             continue
                         sigma = _contract_cross(y10, b_vec, a_vec)
                         if np.linalg.norm(sigma) <= 1e-9:
@@ -259,13 +259,6 @@ def _contract_cross(y10: np.ndarray, b_vec: np.ndarray,
                     a_vec: np.ndarray) -> np.ndarray:
     """sigma[l1, l0] = sum conj(b_r1) a_r0 Y[l1, r1, l0, r0]."""
     return np.einsum("r,lrms,s->lm", b_vec.conj(), y10, a_vec, optimize=False)
-
-
-def _rank(mat: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
 
 
 def _apply_combine(partition: KIPartition, j0: int, j1: int,

@@ -480,138 +480,54 @@ def branch_fidelity(branch_state: Ket, target: Ket) -> float:
     return float(branch_fidelities([branch_state.amps], target.amps)[0])
 
 
-def _transfer_chain(x: np.ndarray, target_rank: int, tol: float = 1e-12):
-    """Two-coordinate transfers carrying the descending spectrum ``x`` to the
-    uniform spectrum of the given rank, as (i, j, z_before, z_after) steps."""
-    n = x.size
-    y = np.zeros(n)
-    y[:target_rank] = 1.0 / target_rank
-    if x[0] > y[0] + 1e-9:
-        raise InfeasibleError(
-            f"largest coefficient {x[0]:.6f} exceeds 1/{target_rank}")
-    z = x.astype(float).copy()
-    steps = []
-    for i in range(target_rank):
-        deficit = y[i] - z[i]
-        guard = 0
-        while deficit > tol:
-            j = n - 1
-            while j > i and z[j] <= tol:
-                j -= 1
-            if j <= i:
-                raise InfeasibleError("transfer chain ran out of mass")
-            delta = min(deficit, z[j])
-            before = z.copy()
-            z[i] += delta
-            z[j] -= delta
-            steps.append((i, j, before, z.copy()))
-            deficit = y[i] - z[i]
-            guard += 1
-            if guard > 4 * n:
-                raise InfeasibleError("transfer chain did not converge")
-    if np.max(np.abs(z - y)) > 1e-9:
-        raise InfeasibleError("transfer chain failed to reach the target")
-    return steps
-
-
-def _pair_measurement(i, j, z, z_next, dim):
-    """Two-outcome measurement on coordinates (i, j) realizing one transfer;
-    outcome 1 needs the receiver to swap its matching basis pair."""
-    zi, zj = z[i], z[j]
-    wi, wj = z_next[i], z_next[j]
-    c0sq = (zi - wj) / (wi - wj)
-    c1sq = (wi - zi) / (wi - wj)
-    c0sq, c1sq = max(c0sq, 0.0), max(c1sq, 0.0)
-    m0 = np.eye(dim, dtype=complex) * np.sqrt(c0sq)
-    m0[i, i] = np.sqrt(c0sq * wi / zi) if zi > 0 else 0.0
-    m0[j, j] = np.sqrt(c0sq * wj / zj) if zj > 0 else 0.0
-    m1 = np.eye(dim, dtype=complex) * np.sqrt(c1sq)
-    m1[i, i] = 0.0
-    m1[j, j] = 0.0
-    m1[j, i] = np.sqrt(c1sq * wj / zi) if zi > 0 else 0.0
-    m1[i, j] = np.sqrt(c1sq * wi / zj) if zj > 0 else 0.0
-    return m0, m1
-
-
 def distill_to_max_entangled(source: Ket, target_rank: int,
                              cut: Bipartition = None) -> OneWayProtocol:
     """One-way protocol converting a bipartite pure state into the rank-L
     maximally entangled state, exactly on every branch.
 
-    Feasible iff the largest reduced eigenvalue is at most 1/L.  The sender
-    output register has dimension L; the receiver output is an (L, junk)
-    register pair with the junk factor left in |0>.
+    Feasible iff the largest reduced eigenvalue is at most 1/L (Nielsen
+    majorization).  The sender measures the n outcomes of
+    ``uniform_distill``, each of probability 1/n for Schmidt rank n, plus
+    completion outcomes on the complement of the Schmidt support.  The
+    sender output register has dimension L; the receiver output is an
+    (L, junk) register pair with the junk factor left in |0>.
     """
     if target_rank < 1:
         raise ValueError("target rank must be positive")
     if cut is None:
         cut = Bipartition([0], nsys=source.nsys)
-    form = schmidt_decompose(source, cut)
-    dim_a = int(np.prod([source.dims[k] for k in cut.left]))
-    dim_b = int(np.prod([source.dims[k] for k in cut.right]))
-    n = max(form.rank, target_rank)
-    if n > min(dim_a, dim_b) and form.rank < target_rank:
-        raise InfeasibleError(
-            f"rank {form.rank} source cannot reach rank {target_rank}")
-    x = spectrum(form.coeffs ** 2, n)
-    steps = _transfer_chain(x, target_rank)
-
-    # coordinate maps: row i is the bra of the i-th Schmidt vector
-    ua = np.zeros((n, dim_a), dtype=complex)
-    ub = np.zeros((n, dim_b), dtype=complex)
-    for i in range(form.rank):
-        ua[i] = form.left_basis[i].amps.conj()
-        ub[i] = form.right_basis[i].amps.conj()
-
-    a_branch = [np.eye(n, dtype=complex)]
-    b_branch = [np.eye(n, dtype=complex)]
-    for (i, j, z, z_next) in steps:
-        m0, m1 = _pair_measurement(i, j, z, z_next, n)
-        swap = np.eye(n, dtype=complex)
-        swap[i, i] = swap[j, j] = 0.0
-        swap[i, j] = swap[j, i] = 1.0
-        a_branch = [m @ a for a in a_branch for m in (m0, m1)]
-        b_new = []
-        for b in b_branch:
-            b_new.append(b)
-            b_new.append(swap @ b)
-        b_branch = b_new
-        # keep (a, b) pairs aligned: a_branch alternates m0, m1 per old branch
-    assert len(a_branch) == len(b_branch)
-
+    a_mats, b_mats, n = uniform_distill(source, target_rank, cut)
     L = target_rank
-    w_a = np.zeros((L, n), dtype=complex)
-    for i in range(L):
-        w_a[i, i] = 1.0
-    junk = int(np.ceil(dim_b / L)) + 1
-    w_b = np.zeros((L * junk, n), dtype=complex)
-    for i in range(L):
-        w_b[i * junk + 0, i] = 1.0
-    for i in range(L, n):
-        r, s = i % L, 1 + (i - L) // L
-        w_b[r * junk + s, i] = 1.0
-
     a_in = tuple(source.dims[k] for k in cut.left)
     b_in = tuple(source.dims[k] for k in cut.right)
-    a_ops = [ProtocolOp(w_a @ a_m @ ua, a_in, (L,)) for a_m in a_branch]
-    b_full = _extend_isometry(np.stack([w_b @ b_m @ ub for b_m in b_branch]),
-                              dim_b)
-    b_ops = [ProtocolOp(b, b_in, (L, junk)) for b in b_full]
+    dim_a, dim_b = math.prod(a_in), math.prod(b_in)
+    junk = int(np.ceil(dim_b / L)) + 1
+    # the co-isometries write the junk-0 rows; the rest completes them
+    b_all = np.zeros((n, L, junk, dim_b), dtype=complex)
+    b_all[:, :, 0] = b_mats
+    b_ops = _op_views(_extend_isometry(b_all.reshape(n, L * junk, dim_b),
+                                       dim_b), b_in, (L, junk))
 
-    # completion outcomes restoring exact sender completeness
-    acc = np.zeros((dim_a, dim_a), dtype=complex)
-    for op in a_ops:
-        acc += op.mat.conj().T @ op.mat
-    gap = np.eye(dim_a) - acc
+    a_all = np.array(a_mats)
+    extra = _completion_ops(a_all.reshape(-1, dim_a), L, 1e-12)
+    a_ops = _op_views(np.concatenate([a_all, extra]), a_in, (L,))
+    return OneWayProtocol(a_ops, b_ops + b_ops[:1] * len(extra))
+
+
+def _completion_ops(flat: np.ndarray, rows: int, tol: float) -> np.ndarray:
+    """Operators (k, rows, dim) completing a sender family, given stacked
+    as (-1, dim), to sum M^dag M = 1: one per eigenvector of the gap whose
+    eigenvalue exceeds ``tol``, written into row 0."""
+    dim = flat.shape[1]
+    gap = np.eye(dim) - flat.conj().T @ flat
     ev, vec = np.linalg.eigh((gap + gap.conj().T) / 2)
-    fallback_b = _extend_isometry(w_b @ ub, dim_b)
-    for k in range(ev.size):
-        if ev[k] > 1e-12:
-            m = np.zeros((L, dim_a), dtype=complex)
-            m[0, :] = np.sqrt(ev[k]) * vec[:, k].conj()
-            a_ops.append(ProtocolOp(m, a_in, (L,)))
-            b_ops.append(ProtocolOp(fallback_b, b_in, (L, junk)))
-    return OneWayProtocol(a_ops, b_ops)
+    if ev.min() < -1e-7:
+        raise RuntimeError(
+            f"sender family exceeded completeness by {-ev.min():.2e}")
+    fill = np.flatnonzero(ev > tol)
+    extra = np.zeros((fill.size, rows, dim), dtype=complex)
+    extra[:, 0] = np.sqrt(ev[fill])[:, None] * vec[:, fill].conj().T
+    return extra
 
 
 def _extend_isometry(mat: np.ndarray, dim_in: int) -> np.ndarray:
@@ -713,7 +629,8 @@ def _projector_with_diagonal(d: np.ndarray, rank: int) -> np.ndarray:
     n = d.size
     start = np.zeros(n)
     start[:rank] = 1.0
-    # transfer chain from the seed profile down to d, then realized in reverse
+    # transfer chain from d up to the seed profile, as (i, j, z_i before the
+    # step); it is then realized in reverse
     steps = []
     z = d.astype(float).copy()
     for i in range(rank):
@@ -726,9 +643,9 @@ def _projector_with_diagonal(d: np.ndarray, rank: int) -> np.ndarray:
             if j <= i:
                 raise InfeasibleError("diagonal profile is not majorized")
             delta = min(deficit, z[j])
+            steps.append((i, j, z[i]))
             z[i] += delta
             z[j] -= delta
-            steps.append((i, j))
             deficit = start[i] - z[i]
             guard += 1
             if guard > 4 * n:
@@ -738,26 +655,8 @@ def _projector_with_diagonal(d: np.ndarray, rank: int) -> np.ndarray:
 
     p = np.diag(start.astype(complex))
     u = np.eye(n, dtype=complex)
-    # replay the chain backwards: move mass from coordinate i to j
-    targets = []
-    z = start.copy()
-    for (i, j) in reversed(steps):
-        # recompute the target diagonal value for coordinate i after this
-        # reversed step by rerunning the forward chain bookkeeping
-        targets.append((i, j))
-    # forward bookkeeping of intermediate diagonals
-    diags = [d.astype(float).copy()]
-    z = d.astype(float).copy()
-    for (i, j) in steps:
-        delta = min(start[i] - z[i], z[j])
-        z = z.copy()
-        z[i] += delta
-        z[j] -= delta
-        diags.append(z)
     # walk from the seed back to d
-    for t in range(len(steps) - 1, -1, -1):
-        i, j = steps[t]
-        want = diags[t][i]
+    for i, j, want in reversed(steps):
         a = p[i, i].real
         b = p[j, j].real
         c = p[i, j]
@@ -787,11 +686,10 @@ def uniform_distill(source: Ket, target_rank: int, cut: Bipartition = None):
     """Conversion of a bipartite pure state into the rank-L maximally
     entangled state whose outcomes all carry the same probability.
 
-    Returns (sender matrices, receiver coordinate co-isometries, coordinate
-    maps): n sender operators M_t of shape (L, dim_sender) and matching
-    receiver maps of shape (L, dim_receiver), where n is the Schmidt support
-    size; every branch maps the source to the target with amplitude
-    1/sqrt(n).  The sender family resolves the identity on the Schmidt
+    Returns (sender matrices, receiver maps, n): n sender operators M_t of
+    shape (L, dim_sender) and matching receiver co-isometries of shape
+    (L, dim_receiver), where n is the Schmidt rank; every branch maps the
+    source to the target with amplitude 1/sqrt(n).  The sender family resolves the identity on the Schmidt
     support only; callers restore global completeness.
     """
     if cut is None:

@@ -23,6 +23,7 @@ from .locc import (
     InfeasibleError,
     OneWayProtocol,
     ProtocolOp,
+    _completion_ops,
     _extend_isometry,
     _op_views,
     _teleport_bell_bra,
@@ -278,17 +279,10 @@ def split_protocol(psi: Ket, resource_rank: int):
         b_ops.append(ProtocolOp(decode @ _teleport_correction(k, m2),
                                 (k,), (dm, junk)))
 
-    acc = np.zeros((dm * k, dm * k), dtype=complex)
-    for op in a_ops:
-        acc += op.mat.conj().T @ op.mat
-    gap = np.eye(dm * k) - acc
-    evg, vecg = np.linalg.eigh((gap + gap.conj().T) / 2)
-    for i in range(evg.size):
-        if evg[i] > 1e-12:
-            a_ops.append(ProtocolOp(
-                np.sqrt(evg[i]) * vecg[:, i].conj().reshape(1, -1),
-                (dm, k), (1,)))
-            b_ops.append(ProtocolOp(decode, (k,), (dm, junk)))
+    extra = _completion_ops(np.concatenate([op.mat for op in a_ops]), 1,
+                            1e-12)
+    a_ops += _op_views(extra, (dm, k), (1,))
+    b_ops += [ProtocolOp(decode, (k,), (dm, junk))] * len(extra)
     proto = OneWayProtocol(a_ops, b_ops)
     return proto, {"resource_rank": k, "rank": rank, "junk": junk}
 
@@ -413,15 +407,7 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
                           (db, k_total), out_b_dims)
 
     # completion outcomes for directions outside the blocks' reach
-    flat = a_all.reshape(-1, da * k_total)
-    gap = np.eye(da * k_total) - flat.conj().T @ flat
-    evg, vecg = np.linalg.eigh((gap + gap.conj().T) / 2)
-    if evg.min() < -1e-7:
-        raise RuntimeError(
-            f"sender family exceeded completeness by {-evg.min():.2e}")
-    fill = np.flatnonzero(evg > 1e-10)
-    extra = np.zeros((fill.size, l_total, da * k_total), dtype=complex)
-    extra[:, 0, :] = np.sqrt(evg[fill])[:, None] * vecg[:, fill].conj().T
+    extra = _completion_ops(a_all.reshape(-1, da * k_total), l_total, 1e-10)
     a_ops += _op_views(extra, (da, k_total), (l_total,))
     if sender_only:
         b_ops = [ProtocolOp(np.eye(db * k_total), (db, k_total),
@@ -429,7 +415,7 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
     else:
         # the canonical extension of the zero map: the leading rows of 1
         b_ops += [ProtocolOp(np.eye(d_out_b, db * k_total), (db, k_total),
-                             out_b_dims)] * fill.size
+                             out_b_dims)] * len(extra)
     proto = OneWayProtocol(a_ops, b_ops)
     return MergeProtocol(one_way=proto, resource_rank=k_total,
                          returned_rank=l_total, setting=setting,

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kidecomp import ki_decompose_tripartite
-from .locc import InfeasibleError, branch_fidelities, simulate
+from .locc import InfeasibleError, branch_fidelities
 from .mergesplit import merge_protocol, simulate_split
-from .qcore import Bipartition, Ket, schmidt_rank
+from .qcore import (DEFAULT_TOL, Bipartition, Ket, _rank_above,
+                    schmidt_rank, singular_rank)
 from .states import max_entangled
 
 BRANCH_CAP = 10 ** 5
@@ -212,9 +213,8 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
         raise ValueError("one subsystem per party required")
     phi = iso.encoded_max_entangled()
     d_log = iso.logical_dim
-    # branch state: (ket, prob, factor owners); factor 0 is the reference
-    owners = [0] + list(range(1, tree.n + 1))
-    branches = [(phi, 1.0, list(owners))]
+    # branch: (amplitude tensor, prob, owners); factor 0 is the reference
+    branches = [(phi.tensor(), 1.0, [0] + list(range(1, tree.n + 1)))]
     edge_rank = {e: 1 for e in tree.edges()}
     audit_ok = True
     for k in range(tree.n, 1, -1):
@@ -225,12 +225,11 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
             r_pos = [i for i, o in enumerate(own) if o == 0]
             a_pos = [i for i, o in enumerate(own) if o == k]
             b_pos = [i for i, o in enumerate(own) if o not in (0, k)]
-            perm = r_pos + a_pos + b_pos
-            grouped = state.permute(perm)
-            d_r = int(np.prod([state.dims[i] for i in r_pos]))
-            d_a = int(np.prod([state.dims[i] for i in a_pos]))
-            d_b = int(np.prod([state.dims[i] for i in b_pos]))
-            tri = Ket(grouped.amps, (d_r, d_a, d_b))
+            d_r = int(np.prod([state.shape[i] for i in r_pos]))
+            d_a = int(np.prod([state.shape[i] for i in a_pos]))
+            d_b = int(np.prod([state.shape[i] for i in b_pos]))
+            tri = Ket(np.transpose(state, r_pos + a_pos + b_pos).reshape(-1),
+                      (d_r, d_a, d_b))
             ki = ki_decompose_tripartite(tri, seed=seed)
             proto = merge_protocol(tri, "non-catalytic", ki=ki, seed=seed,
                                    sender_only=True)
@@ -240,7 +239,15 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
                              max_entangled(k_res).amps.reshape(k_res, k_res),
                              optimize=True)
             if audit_cuts:
-                before = _party_cut_ranks(state, own, tree.n, k_res)
+                # the fresh resource pair raises the measured party's cut
+                # by its rank
+                before = {v: r * k_res for v, r in
+                          _party_cut_ranks(state, own, tree.n).items()}
+            # remaining factors: reference, group, resource half at the
+            # parent; drop the trivial sender output register
+            new_dims = ([state.shape[i] for i in r_pos]
+                        + [state.shape[i] for i in b_pos] + [k_res])
+            new_own = [0] * len(r_pos) + [own[i] for i in b_pos] + [parent]
             pruned_total = 0.0
             for a_op in proto.one_way.a_ops:
                 m = a_op.mat.reshape(d_a, k_res)  # returned rank is one
@@ -249,18 +256,12 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
                 if p < 1e-12:
                     continue
                 pruned_total += p
-                # remaining factors: reference, group, resource half at the
-                # parent; drop the trivial sender output register
-                new_dims = ([state.dims[i] for i in r_pos]
-                            + [state.dims[i] for i in b_pos] + [k_res])
-                new_own = ([0] * len(r_pos) + [own[i] for i in b_pos]
-                           + [parent])
                 flat = amp.reshape(d_r, d_b, k_res)
-                flat = flat / np.linalg.norm(flat)
-                new_state = Ket(flat.reshape(-1), new_dims, normalized=False)
-                if audit_cuts:
-                    audit_ok = audit_ok and _cuts_nonincreasing(
-                        before, new_state, new_own, tree.n)
+                new_state = (flat / np.linalg.norm(flat)).reshape(new_dims)
+                if audit_cuts and audit_ok:
+                    after = _party_cut_ranks(new_state, new_own, tree.n)
+                    audit_ok = all(after[v] <= cap for v, cap in before.items()
+                                   if v in after)
                 new_branches.append((new_state, p, new_own))
             if abs(pruned_total - prob) > 1e-7:
                 raise RuntimeError("branch probabilities failed to close")
@@ -268,17 +269,20 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
                 raise BranchCapError(
                     f"branch count {len(new_branches)} exceeds {branch_cap}")
         branches = new_branches
-    # all information now flows to the root; recover the logical pair
-    from .qcore import schmidt_decompose
+    # all information now flows to the root; recover the logical pair from
+    # the reference cut's spectra, one batched svd per branch shape
+    by_shape = {}
+    for (state, _, _) in branches:
+        by_shape.setdefault(state.shape, []).append(state)
     worst = 0.0
-    for (state, prob, own) in branches:
-        cut = Bipartition([0], list(range(1, state.nsys)))
-        form = schmidt_decompose(state, cut)
-        if form.rank != d_log:
-            worst = max(worst, 1.0)
-            continue
-        uniform = np.full(d_log, 1 / np.sqrt(d_log))
-        worst = max(worst, float(np.max(np.abs(form.coeffs - uniform))))
+    for shape, same in by_shape.items():
+        s = np.linalg.svd(np.reshape(same, (len(same), shape[0], -1)),
+                          compute_uv=False)
+        rank = _rank_above(s, DEFAULT_TOL)
+        dev = np.ones(len(same))
+        ok = rank == d_log
+        dev[ok] = np.abs(s[ok, :d_log] - 1 / np.sqrt(d_log)).max(axis=1)
+        worst = max(worst, float(dev.max()))
     out = {
         "edge_costs": [EdgeCost(edge=e, rank=edge_rank[e])
                        for e in tree.edges()],
@@ -291,29 +295,19 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
     return out
 
 
-def _party_cut_ranks(state: Ket, own, n_parties: int, resource_rank: int):
-    """Schmidt ranks across every single-party cut of state x resource."""
+def _party_cut_ranks(state: np.ndarray, own, n_parties: int) -> dict:
+    """Schmidt rank of an amplitude tensor across every cut between one
+    party's factors and the rest, for parties holding some but not all."""
     ranks = {}
     for v in range(1, n_parties + 1):
         mine = [i for i, o in enumerate(own) if o == v]
-        if not mine or len(mine) == state.nsys:
+        if not mine or len(mine) == state.ndim:
             continue
-        ranks[v] = schmidt_rank(state, Bipartition(
-            mine, [i for i in range(state.nsys) if i not in mine]))
-    # the fresh resource pair raises the measured party's cut by its rank
-    return {v: r * resource_rank for v, r in ranks.items()}
-
-
-def _cuts_nonincreasing(before, state: Ket, own, n_parties: int) -> bool:
-    for v, cap in before.items():
-        mine = [i for i, o in enumerate(own) if o == v]
-        if not mine or len(mine) == state.nsys:
-            continue
-        rank = schmidt_rank(state, Bipartition(
-            mine, [i for i in range(state.nsys) if i not in mine]))
-        if rank > cap:
-            return False
-    return True
+        rest = [i for i in range(state.ndim) if i not in mine]
+        d_mine = int(np.prod([state.shape[i] for i in mine]))
+        ranks[v] = singular_rank(
+            np.transpose(state, mine + rest).reshape(d_mine, -1))
+    return ranks
 
 
 def star_tree() -> RootedTree:

@@ -133,10 +133,6 @@ class Bipartition:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    @property
-    def all_indices(self) -> tuple:
-        return tuple(sorted(self.left + self.right))
-
 
 @dataclass(frozen=True)
 class SchmidtForm:
@@ -197,8 +193,11 @@ def _cut_matrix(psi: Ket, cut: Bipartition, tol: float) -> np.ndarray:
     return t.reshape(dl, -1)
 
 
-def _rank_above(s: np.ndarray, tol: float) -> int:
-    """Count of descending singular values above ``tol`` times the largest."""
+def _rank_above(s: np.ndarray, tol: float):
+    """Count of descending singular values above ``tol`` times the largest:
+    an int for one spectrum, an array of counts for a stack (n, k)."""
+    if s.ndim > 1:
+        return np.count_nonzero(s > tol * s[:, :1], axis=1)
     return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
 
 

@@ -161,24 +161,6 @@ def ki_worked_example() -> Ket:
     return Ket(v, (3, 6, 3))
 
 
-def rab_decoupled_state(which: str, rng=None) -> Ket:
-    """Product states with one subsystem decoupled, for boundary checks."""
-    rng = rng or np.random.default_rng(0)
-    if which == "R-AB":
-        nu = bell("phi+")
-        return Ket(np.kron(basis_ket(2, 0), nu.amps), (2, 2, 2))
-    if which == "B-RA":
-        nu = bell("phi+")
-        t = np.kron(nu.amps, basis_ket(2, 0)).reshape(2, 2, 2)
-        return Ket(t.reshape(-1), (2, 2, 2))
-    if which == "A-RB":
-        nu = bell("phi+")
-        t = np.kron(nu.amps, basis_ket(2, 0)).reshape(2, 2, 2)
-        t = np.transpose(t, (0, 2, 1))
-        return Ket(t.reshape(-1), (2, 2, 2))
-    raise ValueError(f"unknown decoupled layout {which}")
-
-
 FIVE_QUBIT_CODE_TERMS = {
     0: [("00000", 1), ("11000", 1), ("01100", 1), ("00110", 1),
         ("00011", 1), ("10001", 1), ("10100", -1), ("01010", -1),

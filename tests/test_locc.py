@@ -21,7 +21,7 @@ from mergekit.locc import (
     teleport_protocol,
 )
 from mergekit.qcore import (Bipartition, DensityOp, Ket, random_ket,
-                            random_unitary)
+                            random_unitary, schmidt_decompose)
 
 RNG = np.random.default_rng(42)
 
@@ -246,6 +246,136 @@ def test_nielsen_agrees_with_distill_feasibility():
         except InfeasibleError:
             built = False
         assert built == feasible
+
+
+def _distill_sources():
+    """The three-coefficient source and 20 seeded sources of Schmidt rank n
+    in rotated local bases, each with a feasible target rank L."""
+    amps = np.zeros(9, dtype=complex)
+    amps[[0, 4, 8]] = np.sqrt([0.5, 0.3, 0.2])
+    yield Ket(amps, (3, 3)), 2
+    for trial in range(20):
+        rng = np.random.default_rng(3000 + trial)
+        n = int(rng.integers(2, 5))
+        L = int(rng.integers(1, n + 1))
+        lam = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        if lam[0] > 1 / L:        # mix toward uniform until the peak is 1/L
+            s = (1 / L - 1 / n) / (lam[0] - 1 / n)
+            lam = s * lam + (1 - s) / n
+        da, db = n + int(rng.integers(0, 2)), n + int(rng.integers(0, 2))
+        core = np.zeros((da, db), dtype=complex)
+        core[range(n), range(n)] = np.sqrt(lam)
+        m = random_unitary(da, rng) @ core @ random_unitary(db, rng).T
+        yield Ket(m.reshape(-1), (da, db)), L
+
+
+def test_distill_branches_are_uniform():
+    # one branch per Schmidt coordinate, each of probability 1/n
+    for src, L in _distill_sources():
+        n = len(np.flatnonzero(np.linalg.svd(
+            src.tensor(), compute_uv=False) > 1e-9))
+        branches = simulate(distill_to_max_entangled(src, L), src)
+        assert len(branches) == n
+        assert np.allclose([b.prob for b in branches], 1 / n, atol=1e-12)
+        target = states.max_entangled(L)
+        for b in branches:
+            t = b.state.tensor()
+            assert np.linalg.norm(t[:, :, 1:]) < 1e-8
+            flat = Ket(t[:, :, 0].reshape(-1), (L, L), normalized=False)
+            assert branch_fidelity(flat, target) > 1 - 1e-10
+
+
+def _two_pass_projector_with_diagonal(d, rank):
+    """The former construction: the forward transfer chain is run once to
+    find its steps and a second time to record the intermediate diagonals."""
+    n = d.size
+    start = np.zeros(n)
+    start[:rank] = 1.0
+    steps = []
+    z = d.astype(float).copy()
+    for i in range(rank):
+        deficit = start[i] - z[i]
+        while deficit > 1e-12:
+            j = n - 1
+            while j > i and z[j] <= 1e-12:
+                j -= 1
+            if j <= i:
+                raise InfeasibleError("diagonal profile is not majorized")
+            delta = min(deficit, z[j])
+            z[i] += delta
+            z[j] -= delta
+            steps.append((i, j))
+            deficit = start[i] - z[i]
+    p = np.diag(start.astype(complex))
+    u = np.eye(n, dtype=complex)
+    diags = [d.astype(float).copy()]
+    z = d.astype(float).copy()
+    for (i, j) in steps:
+        delta = min(start[i] - z[i], z[j])
+        z = z.copy()
+        z[i] += delta
+        z[j] -= delta
+        diags.append(z)
+    for t in range(len(steps) - 1, -1, -1):
+        i, j = steps[t]
+        want = diags[t][i]
+        a, b, c = p[i, i].real, p[j, j].real, p[i, j]
+        radius = np.hypot((a - b) / 2, abs(c))
+        if radius < 1e-15:
+            continue
+        chi = np.arctan2(abs(c), (a - b) / 2)
+        cosv = np.clip((want - (a + b) / 2) / radius, -1.0, 1.0)
+        theta = (chi - np.arccos(cosv)) / 2
+        phi = np.angle(c) if abs(c) > 1e-15 else 0.0
+        rot = np.eye(n, dtype=complex)
+        rot[i, i] = np.cos(theta)
+        rot[i, j] = np.exp(1j * phi) * np.sin(theta)
+        rot[j, i] = -np.exp(-1j * phi) * np.sin(theta)
+        rot[j, j] = np.cos(theta)
+        p = rot @ p @ rot.conj().T
+        u = rot @ u
+    return u
+
+
+def test_projector_with_diagonal_matches_two_pass_oracle(monkeypatch):
+    import mergekit.locc as locc
+    from mergekit.mergesplit import merge_protocol
+
+    profiles = []
+    for trial in range(40):
+        rng = np.random.default_rng(4000 + trial)
+        n = int(rng.integers(1, 9))
+        rank = int(rng.integers(1, n + 1))
+        lam = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        if lam[0] > 1 / rank:
+            s = (1 / rank - 1 / n) / (lam[0] - 1 / n)
+            lam = s * lam + (1 - s) / n
+        profiles.append((rank * lam, rank))
+    # the built-in examples' spectra across each single-subsystem cut, at
+    # every feasible rank, and the profiles merge synthesis meets on them
+    names = ("ghz", "ghz:3:3", "ex2", "ex3", "ex4", "ex4-swapped",
+             "qutrit-choi", "ki-example")
+    for name in names:
+        psi = states.generate_example(name)
+        for k in range(psi.nsys):
+            lam = schmidt_decompose(
+                psi, Bipartition([k], nsys=psi.nsys)).coeffs ** 2
+            profiles += [(rank * lam, rank) for rank in range(1, lam.size + 1)
+                         if lam[0] <= 1 / rank + 1e-9]
+    real = locc._projector_with_diagonal
+
+    def recording(d, rank):
+        profiles.append((d.copy(), rank))
+        return real(d, rank)
+
+    monkeypatch.setattr(locc, "_projector_with_diagonal", recording)
+    for name in names:
+        for setting in ("catalytic", "non-catalytic"):
+            merge_protocol(states.generate_example(name), setting)
+    assert len(profiles) > 100
+    for d, rank in profiles:
+        assert np.array_equal(real(d, rank),
+                              _two_pass_projector_with_diagonal(d, rank))
 
 
 def test_simulate_prunes_zero_probability():

@@ -163,6 +163,32 @@ def test_concentrating_bounded_by_spreading_random():
             assert cc["rank_audit_ok"]
 
 
+def test_concentrating_final_check_builds_no_ket(monkeypatch):
+    # branches are raw amplitude tensors: after the last synthesis, neither
+    # the walk nor the final spectrum check constructs a Ket
+    import mergekit.netcost as netcost
+    import mergekit.qcore as qcore
+
+    calls, after_synthesis = [], []
+    init = qcore.Ket.__init__
+    synthesize = netcost.merge_protocol
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    def tracking_synthesis(*args, **kwargs):
+        proto = synthesize(*args, **kwargs)
+        after_synthesis.append(len(calls))
+        return proto
+
+    monkeypatch.setattr(qcore.Ket, "__init__", counting_init)
+    monkeypatch.setattr(netcost, "merge_protocol", tracking_synthesis)
+    cc = concentrating_simulate(line_tree(5), five_qubit_isometry())
+    assert cc["pass"] and cc["branches"] == 16
+    assert len(calls) == after_synthesis[-1]
+
+
 def test_spreading_identity_embedding_all_zero():
     # everything stays at the root: every child-side reduced state is pure
     t = RootedTree(3, {2: 1, 3: 1})
