@@ -12,10 +12,13 @@ block subspace is their span and the implied isometry sends ``w[l, r]`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .qcore import Ket, reduced_state, singular_rank
+from .locc import _frozen
+from .qcore import Ket, _rank_above, reduced_state
 
 PROP_TOL = 1e-8       # relative Frobenius tolerance for proportionality
 EIG_TOL = 1e-9        # eigenvalues in (-tol, tol] go to the non-positive side
@@ -82,141 +85,154 @@ class NoRefinement:
 NO_REFINEMENT = NoRefinement()
 
 
+@lru_cache(maxsize=None)
 def steering_family(dim_r: int, n_random: int = N_RANDOM_CANDIDATES,
-                    seed: int = 0):
-    """Positive semidefinite operators on the reference spanning all
-    steering directions: rank-one structured combinations over all index
-    pairs plus seeded random rank-one operators."""
-    ops = [np.eye(dim_r, dtype=complex)]
-    for k in range(dim_r):
-        e = np.zeros(dim_r, dtype=complex)
-        e[k] = 1.0
-        ops.append(np.outer(e, e.conj()))
-    for k in range(dim_r):
-        for l in range(k + 1, dim_r):
-            v = np.zeros(dim_r, dtype=complex)
-            v[k] = 1.0
-            v[l] = 1.0
-            ops.append(np.outer(v, v.conj()))
-            v = np.zeros(dim_r, dtype=complex)
-            v[k] = 1.0
-            v[l] = 1.0j
-            ops.append(np.outer(v, v.conj()))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        g = rng.normal(size=(dim_r, dim_r)) + 1j * rng.normal(size=(dim_r, dim_r))
-        ops.append(g @ g.conj().T)
-    return ops
+                    seed: int = 0) -> np.ndarray:
+    """Positive semidefinite reference operators spanning all steering
+    directions (identity, rank-one pair combinations, seeded ``g g^dag``),
+    as one read-only stack of shape (n_ops, dim_r, dim_r), cached."""
+    vecs = _structured_vectors(dim_r)
+    g = np.random.default_rng(seed).normal(size=(n_random, 2, dim_r, dim_r))
+    g = g[:, 0] + 1j * g[:, 1]
+    return _frozen(np.concatenate([
+        np.eye(dim_r, dtype=complex)[None],
+        vecs[:, :, None] * vecs[:, None, :].conj(),
+        g @ g.conj().transpose(0, 2, 1)]))
+
+
+def _structured_vectors(dim):
+    """Rows e_k, then e_k + e_l and e_k + i e_l for every pair k < l."""
+    eye = np.eye(dim, dtype=complex)
+    k, l = np.triu_indices(dim, 1)
+    pairs = np.stack([eye[k] + eye[l], eye[k] + 1j * eye[l]], axis=1)
+    return np.concatenate([eye, pairs.reshape(-1, dim)])
 
 
 def steered_states(psi_ra: np.ndarray, dims, family):
     """Apply each reference operator to the bipartite state and trace out the
-    reference; returns unnormalized sender-side operators."""
+    reference; returns the stack of unnormalized sender-side operators."""
     dr, da = dims
-    rho = psi_ra.reshape(dr, da, dr, da)
-    out = []
-    for lam in family:
-        m = np.einsum("rs,sarb->ab", lam, rho, optimize=False)
-        out.append((m + m.conj().T) / 2)
-    return out
+    m = np.einsum("krs,sarb->kab", family, psi_ra.reshape(dr, da, dr, da))
+    return (m + m.conj().transpose(0, 2, 1)) / 2
 
 
 def _vector_candidates(dim, n_random, rng):
     """Unit vectors polarizing all sesquilinear forms on a dim-dimensional
-    space: basis vectors, pair combinations, and random extras.  Global
-    phases are irrelevant, so dimension one needs a single candidate."""
+    space, as rows: basis vectors, pair combinations, and random extras.
+    Global phases are irrelevant, so dimension one needs one candidate."""
     if dim == 1:
-        return [np.ones(1, dtype=complex)]
-    cands = []
-    eye = np.eye(dim, dtype=complex)
-    for k in range(dim):
-        cands.append(eye[k])
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            cands.append((eye[k] + eye[l]) / np.sqrt(2))
-            cands.append((eye[k] + 1j * eye[l]) / np.sqrt(2))
-    for _ in range(n_random):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        cands.append(v / np.linalg.norm(v))
-    return cands
+        return np.ones((1, 1), dtype=complex)
+    fixed = _structured_vectors(dim)
+    fixed[dim:] /= np.sqrt(2)
+    v = rng.normal(size=(n_random, 2, dim))
+    v = v[:, 0] + 1j * v[:, 1]
+    # one norm per row keeps the rounding of a per-vector loop
+    norms = np.array([np.linalg.norm(u) for u in v]).reshape(-1, 1)
+    return np.concatenate([fixed, v / norms])
 
 
-def _block_form(block: KIBlock, x: np.ndarray) -> np.ndarray:
-    """Coordinates of the operator ``x`` restricted to the block:
-    Y[l, r, l', r'] = <w_lr| x |w_l'r'>."""
-    flat = block.flat()
-    y = flat.conj() @ x @ flat.T
-    dl, dr = block.dim_left, block.dim_right
-    return y.reshape(dl, dr, dl, dr)
+@lru_cache(maxsize=None)
+def _candidate_table(max_dim, n_random, seed):
+    """Read-only candidate rows per dimension 1..max_dim, from one stream."""
+    rng = np.random.default_rng(seed + 1)
+    return MappingProxyType({d: _frozen(_vector_candidates(d, n_random, rng))
+                             for d in range(1, max_dim + 1)})
 
 
-def _cross_form(b1: KIBlock, b0: KIBlock, x: np.ndarray) -> np.ndarray:
-    """Cross coordinates Y[l1, r1, l0, r0] = <w1_l1r1| x |w0_l0r0>."""
-    f1, f0 = b1.flat(), b0.flat()
-    y = f1.conj() @ x @ f0.T
-    return y.reshape(b1.dim_left, b1.dim_right, b0.dim_left, b0.dim_right)
+def _fro(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a complex array."""
+    v = np.ascontiguousarray(a).view(float)
+    return np.sqrt(np.einsum("...k,...k->...", v, v))
 
 
-def _contract(y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rho[l, l'] = sum_{r, r'} conj(a_r) b_r' Y[l, r, l', r']."""
+def _first_kept(ops: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Mask of the operators an in-order scan keeps: a valid operator is
+    dropped when it lies within 1e-10 (Frobenius) of an earlier kept one.
+    Only rows whose entry sums come within 2e-10 sqrt(size) of an earlier
+    row's can be that close (Cauchy-Schwarz); their distances are direct
+    differences, in chunks of at most 2**20 entries (a Gram expansion
+    cannot resolve 1e-10)."""
+    n = len(ops)
+    flat = ops.reshape(n, -1)
+    kept = valid.copy()
+    if n < 2:
+        return kept
+    p = flat.sum(axis=1)
+    close = np.abs(p[:, None] - p) < 2e-10 * np.sqrt(flat.shape[1])
+    rows = np.flatnonzero(np.tril(close, -1).any(axis=1))
+    step = max(1, (1 << 20) // max(1, n * flat.shape[1]))
+    for c in range(0, len(rows), step):
+        chunk = rows[c:c + step]
+        for i, near in zip(chunk, _fro(flat[chunk, None] - flat) < 1e-10):
+            if kept[i] and (near[:i] & kept[:i]).any():
+                kept[i] = False
+    return kept
+
+
+def _contract(b1: KIBlock, b0: KIBlock, x, a, b) -> np.ndarray:
+    """rho[l1, l0] = sum_{r1, r0} conj(a_r1) b_r0 <w1_l1r1| x |w0_l0r0>,
+    evaluated as the pair-by-pair scan does: block form, then einsum."""
+    y = (b1.flat().conj() @ x @ b0.flat().T).reshape(
+        b1.dim_left, b1.dim_right, b0.dim_left, b0.dim_right)
     return np.einsum("r,lrms,s->lm", a.conj(), y, b, optimize=False)
+
+
+def _polarized(block: KIBlock, vecs: np.ndarray):
+    """(conj(u), u^T) for u[k, l] = sum_r v_kr w_lr, one row per candidate
+    v_k, so that conj(u_k) x u_k^T = _contract(block, block, x, v_k, v_k)."""
+    dl, dr, da = block.grid.shape
+    u = (vecs @ block.grid.transpose(1, 0, 2).reshape(dr, -1)).reshape(
+        -1, dl, da)
+    return u.conj(), u.transpose(0, 2, 1)
+
+
+def _ranks(m: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks (count of s > tol * s0) of a stack; a nonzero 1x1 has rank 1."""
+    if m.shape[-1] == 1:
+        return (m[:, 0, 0] != 0).astype(int)
+    return _rank_above(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def l_decompose_step(partition: KIPartition, steered, candidates_by_dim,
                      eig_tol: float = EIG_TOL):
     """Split the left factor of some block by the sign of a normalized
     difference of steered operators; returns the refined partition or
-    ``NO_REFINEMENT``."""
-    identity_op = steered[0]
+    ``NO_REFINEMENT``.  Per steered operator, all (candidate, reference)
+    pairs are screened at once, on unit-trace forms; screened pairs are
+    recomputed alone, in scan order, before ``eigh``."""
     for j0, block in enumerate(partition.blocks):
         if block.dim_left < 2:
             continue
         vecs = candidates_by_dim[block.dim_right]
-        ref_y = _block_form(block, identity_op)
-        rho_primes = []
-        for b_vec in vecs:
-            rp = _contract(ref_y, b_vec, b_vec)
-            tr = float(np.trace(rp).real)
-            if tr <= 1e-12:
-                continue
-            rp = rp / tr
-            if any(np.linalg.norm(rp - q) < 1e-10 for q in rho_primes):
-                continue
-            rho_primes.append(rp)
-        for x in steered:
-            y = _block_form(block, x)
-            for a_vec in vecs:
-                rho = _contract(y, a_vec, a_vec)
-                tr = float(np.trace(rho).real)
-                if tr <= 1e-12:
+        uc, ut = _polarized(block, vecs)
+        for k, x in enumerate(steered):
+            rho = (uc @ x @ ut).reshape(len(vecs), -1)
+            tr = rho[:, ::block.dim_left + 1].real.sum(axis=1)
+            ok = tr > 1e-12
+            rho /= np.where(ok, tr, 1.0)[:, None]
+            if k == 0:   # the average state supplies the references, and
+                primes = np.flatnonzero(_first_kept(rho, ok))
+                ref = rho[primes]
+                if len(vecs) == 1:   # a lone candidate equals its reference
                     continue
-                rho = rho / tr
-                for rho_p in rho_primes:
-                    delta = rho - rho_p
-                    if np.linalg.norm(delta) <= PROP_TOL * max(
-                            1.0, np.linalg.norm(rho)):
-                        continue
-                    ev, vec = np.linalg.eigh((delta + delta.conj().T) / 2)
-                    plus = vec[:, ev > eig_tol]
-                    minus = vec[:, ev <= eig_tol]
-                    if plus.shape[1] == 0 or minus.shape[1] == 0:
-                        continue
-                    new_blocks = [b for k, b in enumerate(partition.blocks)
-                                  if k != j0]
-                    for basis in (plus, minus):
-                        grid = np.einsum("lm,lra->mra", basis, block.grid)
-                        new_blocks.append(KIBlock(grid))
-                    return KIPartition(new_blocks, partition.dim_a)
+            far = _fro(rho[:, None] - ref) > PROP_TOL * np.maximum(
+                1.0, _fro(rho))[:, None]
+            for ia, ib in zip(*np.nonzero(far & ok[:, None])):
+                r1, r0 = (_contract(block, block, z, v, v) for z, v in (
+                    (x, vecs[ia]), (steered[0], vecs[primes[ib]])))
+                delta = (r1 / float(np.trace(r1).real)
+                         - r0 / float(np.trace(r0).real))
+                ev, vec = np.linalg.eigh((delta + delta.conj().T) / 2)
+                plus = vec[:, ev > eig_tol]
+                minus = vec[:, ev <= eig_tol]
+                if plus.shape[1] == 0 or minus.shape[1] == 0:
+                    continue
+                new_blocks = partition.blocks[:j0] + partition.blocks[j0 + 1:]
+                new_blocks += [KIBlock(np.einsum("lm,lra->mra", basis,
+                                                 block.grid))
+                               for basis in (plus, minus)]
+                return KIPartition(new_blocks, partition.dim_a)
     return NO_REFINEMENT
-
-
-def _live_left_rank(block: KIBlock, identity_op: np.ndarray,
-                    tol: float = SUPP_TOL) -> int:
-    """Rank of the left-factor marginal of the average state on the block;
-    directions outside it carry no weight and cannot be steered."""
-    y = _block_form(block, identity_op)
-    marg = np.einsum("lrmr->lm", y, optimize=False)
-    return singular_rank((marg + marg.conj().T) / 2, tol)
 
 
 def r_combine_step(partition: KIPartition, steered, candidates_by_dim,
@@ -226,39 +242,46 @@ def r_combine_step(partition: KIPartition, steered, candidates_by_dim,
 
     The support requirement is evaluated against the live part of each left
     factor, so zero-weight directions riding inside a block cannot veto a
-    combination they never participate in.
-    """
+    combination they never participate in.  Per steered operator, a pair's
+    cross contractions are screened at once, then (if one is nonzero) rank
+    masks from one batched SVD per block; the first hit is recomputed."""
     blocks = partition.blocks
-    identity_op = steered[0]
-    live = [_live_left_rank(b, identity_op, supp_tol) for b in blocks]
+    if len(blocks) < 2:
+        return NO_REFINEMENT
+    n = max(b.dim_left for b in blocks)
+    marg = np.zeros((len(blocks), n, n), dtype=complex)
+    for j, b in enumerate(blocks):
+        m = np.einsum("lra,mra->lm", b.grid.conj() @ steered[0], b.grid)
+        marg[j, :b.dim_left, :b.dim_left] = (m + m.conj().T) / 2
+    live = _ranks(marg, supp_tol)
+    vecs = [candidates_by_dim[b.dim_right] for b in blocks]
+    pols = [_polarized(b, v) for b, v in zip(blocks, vecs)]
+    full = {}   # (block, steered index) -> candidates at full live rank
+
+    def full_rank(j, k):
+        if (j, k) not in full:
+            uc, ut = pols[j]
+            full[j, k] = _ranks(uc @ steered[k] @ ut, supp_tol) >= live[j]
+        return full[j, k]
+
     for j0 in range(len(blocks)):
         for j1 in range(j0 + 1, len(blocks)):
-            b0, b1 = blocks[j0], blocks[j1]
-            vecs0 = candidates_by_dim[b0.dim_right]
-            vecs1 = candidates_by_dim[b1.dim_right]
-            for x in steered:
-                y00 = _block_form(b0, x)
-                y11 = _block_form(b1, x)
-                y10 = _cross_form(b1, b0, x)
-                for a_vec in vecs0:
-                    rho_a = _contract(y00, a_vec, a_vec)
-                    if singular_rank(rho_a, supp_tol) < live[j0]:
-                        continue
-                    for b_vec in vecs1:
-                        rho_b = _contract(y11, b_vec, b_vec)
-                        if singular_rank(rho_b, supp_tol) < live[j1]:
-                            continue
-                        sigma = _contract_cross(y10, b_vec, a_vec)
-                        if np.linalg.norm(sigma) <= 1e-9:
-                            continue
-                        return _apply_combine(partition, j0, j1, sigma)
+            (uc1, _), (_, ut0) = pols[j1], pols[j0]
+            (n1, dl1, da), (n0, _, dl0) = uc1.shape, ut0.shape
+            left, right = uc1.reshape(-1, da), np.hstack(ut0)
+            for k, x in enumerate(steered):
+                # sigma[b, l1, a, l0] = _contract(b1, b0, x, v1_b, v0_a)
+                sigma = (left @ x @ right).reshape(n1, dl1, n0, dl0)
+                hit = (np.abs(sigma) ** 2).sum(axis=(1, 3)).T > 1e-18
+                if not hit.any():
+                    continue
+                hit &= full_rank(j0, k)[:, None] & full_rank(j1, k)[None, :]
+                hits = np.flatnonzero(hit)
+                if hits.size:
+                    ia, ib = divmod(int(hits[0]), n1)
+                    return _apply_combine(partition, j0, j1, _contract(
+                        blocks[j1], blocks[j0], x, vecs[j1][ib], vecs[j0][ia]))
     return NO_REFINEMENT
-
-
-def _contract_cross(y10: np.ndarray, b_vec: np.ndarray,
-                    a_vec: np.ndarray) -> np.ndarray:
-    """sigma[l1, l0] = sum conj(b_r1) a_r0 Y[l1, r1, l0, r0]."""
-    return np.einsum("r,lrms,s->lm", b_vec.conj(), y10, a_vec, optimize=False)
 
 
 def _apply_combine(partition: KIPartition, j0: int, j1: int,
@@ -322,52 +345,31 @@ def ki_partition(psi_ra: np.ndarray, dims, n_random: int = N_RANDOM_CANDIDATES,
     """Compute the maximal partition of the sender support of a bipartite
     state (given as a density matrix on reference x sender)."""
     dr, da = dims
-    grid = np.eye(da, dtype=complex).reshape(da, 1, da)
-    partition = KIPartition([KIBlock(grid)], da)
-
-    family = steering_family(dr, n_random=n_random, seed=seed)
-    steered_all = steered_states(psi_ra, dims, family)
-    steered = []
-    seen = []
-    for s in steered_all:
-        tr = abs(np.trace(s))
-        if tr <= 1e-12:
-            continue
-        sn = s / tr
-        if any(np.linalg.norm(sn - q) < 1e-10 for q in seen):
-            continue
-        seen.append(sn)
-        steered.append(s)
-    rng = np.random.default_rng(seed + 1)
-    max_dim = max(da, 2)
-    candidates_by_dim = {d: _vector_candidates(d, n_random, rng)
-                         for d in range(1, max_dim + 1)}
+    partition = KIPartition([KIBlock(np.eye(da, dtype=complex)[:, None])], da)
+    steered = steered_states(psi_ra, dims, steering_family(dr, n_random, seed))
+    tr = np.abs(np.trace(steered, axis1=1, axis2=2))
+    valid = tr > 1e-12
+    steered = steered[_first_kept(
+        steered / np.where(valid, tr, 1.0)[:, None, None], valid)]
+    candidates_by_dim = _candidate_table(max(da, 2), n_random, seed)
 
     cap = da * (da + 1) // 2 + 2
     for _ in range(cap):
-        result = l_decompose_step(partition, steered, candidates_by_dim)
-        if not isinstance(result, NoRefinement):
-            new_r, old_r = result.refinement_index(), partition.refinement_index()
-            if new_r <= old_r:
-                raise MaximalityError(
-                    "left split did not increase the refinement index",
-                    partition)
-            partition = result
-            continue
-        result = r_combine_step(partition, steered, candidates_by_dim)
-        if not isinstance(result, NoRefinement):
-            new_r, old_r = result.refinement_index(), partition.refinement_index()
-            if new_r <= old_r:
-                raise MaximalityError(
-                    "right combine did not increase the refinement index",
-                    partition)
-            partition = result
-            continue
-        if maximality_check(partition, psi_ra, dims):
-            return partition
-        raise MaximalityError(
-            "candidate family exhausted without reaching a maximal "
-            "partition", partition)
+        for step, name in ((l_decompose_step, "left split"),
+                           (r_combine_step, "right combine")):
+            result = step(partition, steered, candidates_by_dim)
+            if not isinstance(result, NoRefinement):
+                break
+        else:
+            if maximality_check(partition, psi_ra, dims):
+                return partition
+            raise MaximalityError(
+                "candidate family exhausted without reaching a maximal "
+                "partition", partition)
+        if result.refinement_index() <= partition.refinement_index():
+            raise MaximalityError(
+                f"{name} did not increase the refinement index", partition)
+        partition = result
     raise MaximalityError("refinement iteration cap exceeded", partition)
 
 
@@ -522,7 +524,4 @@ def _canonical_purification(rho: np.ndarray):
     order = np.argsort(ev)[::-1]
     ev, vec = ev[order], vec[:, order]
     rank = max(1, int(np.sum(ev > 1e-11 * max(ev[0], 1e-300))))
-    coeff = np.zeros((rho.shape[0], rank), dtype=complex)
-    for i in range(rank):
-        coeff[:, i] = np.sqrt(max(ev[i], 0.0)) * vec[:, i]
-    return coeff, rank
+    return vec[:, :rank] * np.sqrt(np.maximum(ev[:rank], 0.0)), rank

@@ -109,17 +109,14 @@ def _stabilizer_holds(ket: Ket, graph: GraphState, v: int,
     return bool(np.linalg.norm(out - ket.amps) <= tol)
 
 
-DEFAULT_CONFIG = {  # party -> number of qubit slots
-    1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1,
-}
-
-
 def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
     """Prepare the circuit state from the resource graph state: rotate each
     auxiliary qubit, measure it, and counter-rotate the gate's targets on
     outcome one.  Enumerates all correction branches and reports the worst
     infidelity against the direct circuit output (global phase ignored);
-    ``worst_branch`` is the first branch in outcome order that attains it."""
+    ``worst_branch`` is the first branch in outcome order that attains it.
+    Party ``p`` holds target qubit ``p`` and the auxiliary qubit of gate
+    ``p`` (1-based); ``config`` counts each party's qubit slots."""
     alphas = list(alphas)
     if len(alphas) != circ.n_gates:
         raise ValueError("one angle per gate required")
@@ -129,14 +126,15 @@ def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
     worst_branch = tuple((o >> (n_a - 1 - k)) & 1 for k in range(n_a))
     worst = max(0.0, float(infid[o]))
     total = float(np.sum(probs))
+    party_slots = {p: ["target"] * (p <= circ.n_qubits) + ["aux"] * (p <= n_a)
+                   for p in range(1, max(circ.n_qubits, n_a) + 1)}
     report = {
         "branches": 2 ** n_a,
         "worst_infidelity": worst,
         "worst_branch": worst_branch,
         "total_probability": total,
-        "config": dict(DEFAULT_CONFIG),
-        "party_slots": {k: ["target", "aux"] if k <= 7 else ["target"]
-                        for k in range(1, 9)},
+        "config": {p: len(slots) for p, slots in party_slots.items()},
+        "party_slots": party_slots,
         "pass": bool(worst <= tol and abs(total - 1) < 1e-7),
     }
     if not report["pass"]:

@@ -189,6 +189,17 @@ def test_msize_cli(capsys):
     assert json.loads(out)["checks"]["all_branches_exact"]
 
 
+def test_msize_prepare_reports_the_prepared_circuit(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n_qubits": 2, "gates": [[1, 2]]}))
+    code, out, _ = _run(["msize", "prepare", "--circuit", str(path)], capsys)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["config"] == {"1": 2, "2": 1}
+    assert res["party_slots"] == {"1": ["target", "aux"], "2": ["target"]}
+    assert res["branches"] == 2
+
+
 def test_msize_dynamic_cli(tmp_path, capsys):
     sched = {
         "config": {"1": 2, "2": 1},

@@ -3,10 +3,14 @@ import pytest
 
 from mergekit import states
 from mergekit.kidecomp import (
+    EIG_TOL,
     KIBlock,
     KIPartition,
+    N_RANDOM_CANDIDATES,
     NO_REFINEMENT,
     NoRefinement,
+    PROP_TOL,
+    SUPP_TOL,
     ki_decompose_tripartite,
     ki_partition,
     l_decompose_step,
@@ -14,9 +18,13 @@ from mergekit.kidecomp import (
     r_combine_step,
     steered_states,
     steering_family,
+    _apply_combine,
+    _candidate_table,
+    _first_kept,
     _vector_candidates,
 )
-from mergekit.qcore import Ket, random_ket, random_unitary, reduced_state
+from mergekit.qcore import (Ket, random_ket, random_unitary, reduced_state,
+                            singular_rank)
 
 RNG = np.random.default_rng(7)
 
@@ -222,3 +230,315 @@ def test_ki_block_dims_invariant_under_reference_rotation_ex3():
         ki = ki_decompose_tripartite(Ket(rotated.reshape(-1), psi.dims))
         dims.append(sorted([b.dim_left, b.dim_right] for b in ki.blocks))
     assert dims[0] == dims[1]
+
+
+# ---------------------------------------------------------------------------
+# Reference: ki_partition as a scalar pair-by-pair scan (setup and both
+# refinement steps).  The array code must make the same decisions:
+# identical block dims and grids within 1e-12.
+
+
+def _ref_steering_family(dim_r, n_random=N_RANDOM_CANDIDATES, seed=0):
+    ops = [np.eye(dim_r, dtype=complex)]
+    for k in range(dim_r):
+        e = np.zeros(dim_r, dtype=complex)
+        e[k] = 1.0
+        ops.append(np.outer(e, e.conj()))
+    for k in range(dim_r):
+        for l in range(k + 1, dim_r):
+            v = np.zeros(dim_r, dtype=complex)
+            v[k] = 1.0
+            v[l] = 1.0
+            ops.append(np.outer(v, v.conj()))
+            v = np.zeros(dim_r, dtype=complex)
+            v[k] = 1.0
+            v[l] = 1.0j
+            ops.append(np.outer(v, v.conj()))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        g = rng.normal(size=(dim_r, dim_r)) + 1j * rng.normal(size=(dim_r, dim_r))
+        ops.append(g @ g.conj().T)
+    return ops
+
+
+def _ref_steered_states(psi_ra, dims, family):
+    dr, da = dims
+    rho = psi_ra.reshape(dr, da, dr, da)
+    out = []
+    for lam in family:
+        m = np.einsum("rs,sarb->ab", lam, rho, optimize=False)
+        out.append((m + m.conj().T) / 2)
+    return out
+
+
+def _ref_vector_candidates(dim, n_random, rng):
+    if dim == 1:
+        return [np.ones(1, dtype=complex)]
+    cands = []
+    eye = np.eye(dim, dtype=complex)
+    for k in range(dim):
+        cands.append(eye[k])
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            cands.append((eye[k] + eye[l]) / np.sqrt(2))
+            cands.append((eye[k] + 1j * eye[l]) / np.sqrt(2))
+    for _ in range(n_random):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        cands.append(v / np.linalg.norm(v))
+    return cands
+
+
+def _ref_block_form(block, x):
+    flat = block.flat()
+    y = flat.conj() @ x @ flat.T
+    dl, dr = block.dim_left, block.dim_right
+    return y.reshape(dl, dr, dl, dr)
+
+
+def _ref_cross_form(b1, b0, x):
+    f1, f0 = b1.flat(), b0.flat()
+    y = f1.conj() @ x @ f0.T
+    return y.reshape(b1.dim_left, b1.dim_right, b0.dim_left, b0.dim_right)
+
+
+def _ref_contract(y, a, b):
+    return np.einsum("r,lrms,s->lm", a.conj(), y, b, optimize=False)
+
+
+def _ref_l_decompose_step(partition, steered, candidates_by_dim,
+                          eig_tol=EIG_TOL):
+    identity_op = steered[0]
+    for j0, block in enumerate(partition.blocks):
+        if block.dim_left < 2:
+            continue
+        vecs = candidates_by_dim[block.dim_right]
+        ref_y = _ref_block_form(block, identity_op)
+        rho_primes = []
+        for b_vec in vecs:
+            rp = _ref_contract(ref_y, b_vec, b_vec)
+            tr = float(np.trace(rp).real)
+            if tr <= 1e-12:
+                continue
+            rp = rp / tr
+            if any(np.linalg.norm(rp - q) < 1e-10 for q in rho_primes):
+                continue
+            rho_primes.append(rp)
+        for x in steered:
+            y = _ref_block_form(block, x)
+            for a_vec in vecs:
+                rho = _ref_contract(y, a_vec, a_vec)
+                tr = float(np.trace(rho).real)
+                if tr <= 1e-12:
+                    continue
+                rho = rho / tr
+                for rho_p in rho_primes:
+                    delta = rho - rho_p
+                    if np.linalg.norm(delta) <= PROP_TOL * max(
+                            1.0, np.linalg.norm(rho)):
+                        continue
+                    ev, vec = np.linalg.eigh((delta + delta.conj().T) / 2)
+                    plus = vec[:, ev > eig_tol]
+                    minus = vec[:, ev <= eig_tol]
+                    if plus.shape[1] == 0 or minus.shape[1] == 0:
+                        continue
+                    new_blocks = [b for k, b in enumerate(partition.blocks)
+                                  if k != j0]
+                    for basis in (plus, minus):
+                        grid = np.einsum("lm,lra->mra", basis, block.grid)
+                        new_blocks.append(KIBlock(grid))
+                    return KIPartition(new_blocks, partition.dim_a)
+    return NO_REFINEMENT
+
+
+def _ref_live_left_rank(block, identity_op, tol=SUPP_TOL):
+    y = _ref_block_form(block, identity_op)
+    marg = np.einsum("lrmr->lm", y, optimize=False)
+    return singular_rank((marg + marg.conj().T) / 2, tol)
+
+
+def _ref_r_combine_step(partition, steered, candidates_by_dim,
+                        supp_tol=SUPP_TOL):
+    blocks = partition.blocks
+    identity_op = steered[0]
+    live = [_ref_live_left_rank(b, identity_op, supp_tol) for b in blocks]
+    for j0 in range(len(blocks)):
+        for j1 in range(j0 + 1, len(blocks)):
+            b0, b1 = blocks[j0], blocks[j1]
+            vecs0 = candidates_by_dim[b0.dim_right]
+            vecs1 = candidates_by_dim[b1.dim_right]
+            for x in steered:
+                y00 = _ref_block_form(b0, x)
+                y11 = _ref_block_form(b1, x)
+                y10 = _ref_cross_form(b1, b0, x)
+                for a_vec in vecs0:
+                    rho_a = _ref_contract(y00, a_vec, a_vec)
+                    if singular_rank(rho_a, supp_tol) < live[j0]:
+                        continue
+                    for b_vec in vecs1:
+                        rho_b = _ref_contract(y11, b_vec, b_vec)
+                        if singular_rank(rho_b, supp_tol) < live[j1]:
+                            continue
+                        sigma = _ref_contract(y10, b_vec, a_vec)
+                        if np.linalg.norm(sigma) <= 1e-9:
+                            continue
+                        return _apply_combine(partition, j0, j1, sigma)
+    return NO_REFINEMENT
+
+
+def _ref_dedupe(ops, tol=1e-10):
+    """Indices kept by the quadratic scan: first kept wins."""
+    kept, seen = [], []
+    for i, s in enumerate(ops):
+        tr = abs(np.trace(s))
+        if tr <= 1e-12:
+            continue
+        sn = s / tr
+        if any(np.linalg.norm(sn - q) < tol for q in seen):
+            continue
+        seen.append(sn)
+        kept.append(i)
+    return kept
+
+
+def _ref_ki_partition(psi_ra, dims, n_random=N_RANDOM_CANDIDATES, seed=0):
+    dr, da = dims
+    grid = np.eye(da, dtype=complex).reshape(da, 1, da)
+    partition = KIPartition([KIBlock(grid)], da)
+    family = _ref_steering_family(dr, n_random=n_random, seed=seed)
+    steered_all = _ref_steered_states(psi_ra, dims, family)
+    steered = [steered_all[i] for i in _ref_dedupe(steered_all)]
+    rng = np.random.default_rng(seed + 1)
+    max_dim = max(da, 2)
+    candidates_by_dim = {d: _ref_vector_candidates(d, n_random, rng)
+                         for d in range(1, max_dim + 1)}
+    cap = da * (da + 1) // 2 + 2
+    for _ in range(cap):
+        result = _ref_l_decompose_step(partition, steered, candidates_by_dim)
+        if not isinstance(result, NoRefinement):
+            assert result.refinement_index() > partition.refinement_index()
+            partition = result
+            continue
+        result = _ref_r_combine_step(partition, steered, candidates_by_dim)
+        if not isinstance(result, NoRefinement):
+            assert result.refinement_index() > partition.refinement_index()
+            partition = result
+            continue
+        assert maximality_check(partition, psi_ra, dims)
+        return partition
+    raise AssertionError("refinement iteration cap exceeded")
+
+
+def _as_tripartite(psi):
+    """Group subsystems as (first, middle, last); pad a bipartite state with
+    a trivial receiver."""
+    dims = psi.dims if psi.nsys > 2 else psi.dims + (1,)
+    mid = int(np.prod(dims[1:-1]))
+    return Ket(psi.amps, (dims[0], mid, dims[-1]))
+
+
+def _assert_same_partition(psi):
+    dr, da = psi.dims[0], psi.dims[1]
+    psi_ra = reduced_state(psi, [0, 1]).mat
+    want = _ref_ki_partition(psi_ra, (dr, da))
+    got = ki_partition(psi_ra, (dr, da))
+    assert got.block_dims == want.block_dims
+    for g, w in zip(got.blocks, want.blocks):
+        assert np.max(np.abs(g.grid - w.grid)) <= 1e-12
+
+
+EXAMPLE_NAMES = ["ghz", "ghz:3:3", "ex2", "ex3", "ex4", "ex4-swapped",
+                 "qutrit-choi", "ki-example", "chapter4", "fivequbit:0",
+                 "fivequbit:1", "bell:phi+", "bell:psi-", "maxent:3"]
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_ki_partition_matches_reference_on_examples(name):
+    _assert_same_partition(_as_tripartite(states.generate_example(name)))
+
+
+@pytest.mark.parametrize("name", ["ki-example", "ex2", "ex3"])
+def test_ki_partition_matches_reference_under_local_rotations(name):
+    psi = states.generate_example(name)
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 41])
+        us = [random_unitary(d, rng) for d in psi.dims]
+        t = np.einsum("rx,ay,bz,xyz->rab", *us, psi.tensor(), optimize=True)
+        _assert_same_partition(Ket(t.reshape(-1), psi.dims))
+
+
+def test_ki_partition_matches_reference_on_random_states():
+    for trial in range(60):
+        rng = np.random.default_rng([trial, 42])
+        dims = [int(d) for d in rng.integers(2, 5, size=3)]
+        _assert_same_partition(random_ket(dims, rng))
+
+
+def test_dedupe_keeps_first_of_a_chain():
+    # b lies within tolerance of a and c of b, but c is far from a: the scan
+    # drops b (near the kept a) and keeps c (b was dropped, so it does not
+    # count); a zero-trace operator is never kept
+    a = np.diag([0.5, 0.5]).astype(complex)
+    step = np.array([[0, 1], [1, 0]], dtype=complex) * 0.8e-10 / np.sqrt(2)
+    ops = np.stack([a, a + step, a + 2 * step, np.zeros((2, 2)), 3 * a, a])
+    tr = np.abs(np.trace(ops, axis1=1, axis2=2))
+    valid = tr > 1e-12
+    kept = _first_kept(ops / np.where(valid, tr, 1.0)[:, None, None], valid)
+    assert list(np.flatnonzero(kept)) == _ref_dedupe(list(ops)) == [0, 2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_candidate_families_match_reference_loops(d):
+    for seed in (0, 7):
+        fam = steering_family(d, N_RANDOM_CANDIDATES, seed)
+        ref = _ref_steering_family(d, N_RANDOM_CANDIDATES, seed)
+        assert fam.shape == (len(ref), d, d)
+        assert np.max(np.abs(fam - np.array(ref))) <= 1e-15
+        assert not fam.flags.writeable
+        got = _vector_candidates(d, 8, np.random.default_rng(seed))
+        want = _ref_vector_candidates(d, 8, np.random.default_rng(seed))
+        assert got.shape == (len(want), d)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+    table = _candidate_table(4, N_RANDOM_CANDIDATES, 0)
+    rng = np.random.default_rng(1)
+    for k in range(1, 5):
+        want = np.array(_ref_vector_candidates(k, N_RANDOM_CANDIDATES, rng))
+        assert np.max(np.abs(table[k] - want)) <= 1e-15
+        assert not table[k].flags.writeable
+    with pytest.raises(ValueError):
+        steering_family(d)[0, 0, 0] = 2.0
+    with pytest.raises(TypeError):
+        table[1] = None
+
+
+def _same_result(got, want):
+    if isinstance(want, NoRefinement):
+        return isinstance(got, NoRefinement)
+    return (got.block_dims == want.block_dims
+            and all(np.max(np.abs(g.grid - w.grid)) <= 1e-12
+                    for g, w in zip(got.blocks, want.blocks)))
+
+
+def test_refinement_steps_match_reference_on_hand_made_partitions():
+    eye4 = np.eye(4, dtype=complex)
+    # one (2, 2) block: many screened (candidate, reference) pairs compete
+    quantum = KIPartition([KIBlock(eye4.reshape(2, 2, 4))], 4)
+    # two (2, 1) blocks: candidates compete for the first coherent pair
+    halves = KIPartition([KIBlock(eye4[:2, None]), KIBlock(eye4[2:, None])], 4)
+    # |0>|e0> + |1>|e1> + |2>|e2>: the blocks are incoherent on average, and
+    # a rank-one steering operator makes the first block's contraction
+    # rank-deficient while its cross contraction is nonzero
+    v = np.zeros((3, 4), dtype=complex)
+    v[0, 0] = v[1, 1] = v[2, 2] = 1 / np.sqrt(3)
+    rhos = [np.outer(v.reshape(-1), v.reshape(-1).conj())]
+    for trial in range(6):
+        rng = np.random.default_rng([trial, 43])
+        rhos.append(reduced_state(random_ket([3, 4, 2], rng), [0, 1]).mat)
+    for rho in rhos:
+        steered = steered_states(rho, (3, 4), steering_family(3))
+        rng = np.random.default_rng(5)
+        cands = {d: _vector_candidates(d, 8, rng) for d in (1, 2, 3, 4)}
+        assert _same_result(l_decompose_step(quantum, steered, cands),
+                            _ref_l_decompose_step(quantum, steered, cands))
+        for part in (quantum, halves):
+            assert _same_result(r_combine_step(part, steered, cands),
+                                _ref_r_combine_step(part, steered, cands))
