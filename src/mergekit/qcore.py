@@ -300,33 +300,125 @@ def conditional_entropy(rho: DensityOp, cut: Bipartition) -> float:
     return h_all - h_right
 
 
-def _hmax_objective(sqrt_rho_ab: np.ndarray, sigma_b: np.ndarray,
-                    dim_a: int) -> float:
-    # log2 || sqrt(rho_ab) sqrt(1 x sigma_b) ||_1^2, with sqrt(rho_ab) given
-    dim_b = sigma_b.shape[0]
-    big = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for i in range(0, dim_a * dim_b, dim_b):
-        big[i:i + dim_b, i:i + dim_b] = sigma_b
-    inner = sqrt_rho_ab @ big @ sqrt_rho_ab
-    ev = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    val = float(np.sum(np.sqrt(ev)))
-    if val <= 0:
-        return -np.inf
-    return 2.0 * np.log2(val)
+# Weight of the maximally mixed state in every max-entropy iterate.  It keeps
+# 1 x sigma_B of full rank, so the upper bound below is defined, and costs at
+# most ~1e-12 in the lower bound where the optimal sigma_B is rank-deficient.
+HMAX_MIX = 1e-12
+# Fixed-point steps before the Nelder-Mead fallback runs.
+HMAX_STEP_CAP = 300
+
+
+def _trace_a(m: np.ndarray) -> np.ndarray:
+    """Tr_A[M M^dagger] for a factor M shaped (d_A, d_B, r)."""
+    t = m.transpose(1, 0, 2).reshape(m.shape[1], -1)
+    return t @ t.conj().T
+
+
+def _hmax_step(w: np.ndarray, sigma: np.ndarray):
+    """One fixed-point step at the density ``sigma`` on B, for the factor
+    ``w`` of rho_AB = W W^dagger shaped (d_A, d_B, r).
+
+    With Y = W^dagger (1 x sigma) W and G = Tr_A[W Y^{-1/2} W^dagger],
+    returns ``(lower, upper, next)``:
+
+    - lower = 2 log2 Tr sqrt(Y), the objective at ``sigma``.  Tr sqrt(Y) is
+      the sum of the singular values S of (1 x sigma^{1/2}) W = U S
+      V^dagger, so no eigenvalue of Y is clipped.
+    - upper = log2 Tr sqrt(Y) + log2 lambda_max(G), with G = Tr_A[(W V
+      S^{-1/2})(W V S^{-1/2})^dagger].  By Alberti's form of the fidelity,
+      F(rho, 1 x s)^2 <= Tr(rho Z) Tr((1 x s) Z^{-1}) for every density s
+      and Z > 0; Z^{-1} = W V S^{-1} V^dagger W^dagger on the support of
+      rho gives Tr(rho Z) = sum S, for whatever V and S the decomposition
+      returns.
+    - next = sigma^{1/2} G^2 sigma^{1/2} / Tr.  The objective Tr sqrt(Y) is
+      concave and homogeneous of degree 1/2 in sigma, with gradient G/2,
+      and G is constant on the support of a maximizer, so maximizers are
+      fixed points.  Squaring G makes the step exact when rho_AB commutes
+      with a basis of B: there the objective is sum_i sqrt(a_i sigma_i),
+      maximal at sigma_i proportional to a_i = sigma_i G_i^2.
+    """
+    ev, vec = np.linalg.eigh(sigma)
+    ev = np.clip(ev, 0.0, None)
+    root = (vec * np.sqrt(ev)) @ vec.conj().T
+    d_a, d_b, r = w.shape
+    _, s, vh = np.linalg.svd((root @ w).reshape(-1, r), full_matrices=False)
+    total = s.sum()
+    c = (w.reshape(-1, r) @ (vh.conj().T / np.sqrt(s))).reshape(d_a, d_b, r)
+    g = _trace_a(c)
+    lower = 2.0 * np.log2(total) - np.log2(ev.sum())
+    upper = np.log2(total) + np.log2(np.linalg.eigvalsh(g)[-1])
+    half = root @ g
+    nxt = half @ half.conj().T
+    return float(lower), float(upper), nxt / np.trace(nxt).real
+
+
+def _hmax_fallback(w: np.ndarray, restarts: int, tol: float, seed: int):
+    """Seeded multi-start Nelder-Mead over sigma_B = g^dagger g on the
+    noise-free objective 2 log2 ||(1 x g) W||_1 - log2 Tr(g^dagger g).
+    Returns the best value and the number of starts that ended at the
+    iteration cap (status 2)."""
+    # imported here, its only use, to keep scipy off every other path
+    from scipy import optimize
+
+    d_b, r = w.shape[1], w.shape[2]
+    n = d_b * d_b
+
+    def neg_lower(x):
+        g = (x[:n] + 1j * x[n:]).reshape(d_b, d_b)
+        norm2 = np.vdot(g, g).real
+        if norm2 <= 1e-300:
+            g, norm2 = np.eye(d_b), float(d_b)
+        total = np.linalg.svd((g @ w).reshape(-1, r), compute_uv=False).sum()
+        return np.inf if total <= 0 else np.log2(norm2) - 2.0 * np.log2(total)
+
+    rng = np.random.default_rng(seed)
+    sqrt_rb = _sqrtm_psd(_trace_a(w))
+    starts = [np.concatenate([np.eye(d_b).reshape(-1), np.zeros(n)]),
+              np.concatenate([sqrt_rb.real.reshape(-1),
+                              sqrt_rb.imag.reshape(-1)])]
+    while len(starts) < max(2, restarts):
+        starts.append(rng.normal(size=2 * n))
+    best, at_cap = -np.inf, 0
+    for x0 in starts:
+        res = optimize.minimize(neg_lower, x0, method="Nelder-Mead",
+                                options={"maxiter": 4000, "xatol": tol,
+                                         "fatol": tol * 1e-2})
+        best = max(best, -res.fun)
+        at_cap += res.status == 2
+    return float(best), int(at_cap)
 
 
 def hmax_conditional(psi: Ket, cut_a, cut_b, restarts: int = 32,
                      tol: float = 1e-6, seed: int = 0):
-    """Heuristic conditional max-entropy of ``cut_a`` given ``cut_b``.
+    """Certified conditional max-entropy of ``cut_a`` given ``cut_b``:
+    H_max(A|B) = max over densities sigma_B of log2 F(rho_AB, 1 x sigma_B)^2,
+    enclosed in an interval [lower, upper].
 
-    Runs a multi-start Nelder-Mead ascent over the conditioning state on the
-    ``cut_b`` factor.  The returned value is a lower bound of the true
-    maximum; when the complement of ``cut_a + cut_b`` is maximally mixed the
-    closed-form upper bound ``log2(lambda0_B * D)`` is reported alongside.
+    The search works on an exact factor rho_AB = W W^dagger, the Schmidt
+    vectors of ``psi`` across (rest | a+b) scaled by their coefficients, and
+    runs the multiplicative fixed point sigma <- sigma^{1/2} G^2 sigma^{1/2} /
+    Tr from sigma = 1/d_B, each iterate mixed as (1 - HMAX_MIX) sigma + HMAX_MIX
+    / d_B (see ``_hmax_step``).  No step depends on a seed or on a local
+    basis.  Every step gives a lower bound (the objective at that sigma) and
+    a rigorous upper bound; the best of each is kept, and the loop stops when
+    ``upper - lower <= tol``.  Where the optimal sigma_B is near-singular the
+    ascent can stall; after ``HMAX_STEP_CAP`` steps the seeded Nelder-Mead
+    starts run on the same noise-free objective (``restarts`` starts, the
+    identity, sqrt(rho_B) and random ones drawn from ``seed``), and can only
+    raise ``lower``.  ``restarts`` and ``seed`` govern only that fallback.
 
-    Returns a dict with ``value``, ``certified_lower``,
-    ``restarts_at_cap`` (the starts that Nelder-Mead ended at its iteration
-    cap, status 2) and optionally ``upper_bound``.
+    Returns a dict with
+    ``value`` (equal to ``lower``), ``lower``, ``upper``, ``gap`` (``upper -
+    lower`` as computed: where the objective is exactly flat, as for a Bell
+    state, it can be a rounding-level negative number such as -4e-16, and is
+    reported as such rather than clipped), ``steps`` (fixed-point steps
+    taken), ``certified_lower`` (true), ``restarts_at_cap`` (fallback starts
+    that ended at Nelder-Mead's iteration cap; 0 when the fallback did not
+    run) and, when the complement of ``cut_a + cut_b`` is maximally mixed,
+    the closed form ``upper_bound = log2(lambda0_B * D)``.
+
+    References: Koenig, Renner & Schaffner, IEEE TIT 55, 4337 (2009);
+    Tomamichel, Colbeck & Renner, IEEE TIT 56, 4674 (2010).
     """
     cut_a = sorted(int(k) for k in cut_a)
     cut_b = sorted(int(k) for k in cut_b)
@@ -335,61 +427,37 @@ def hmax_conditional(psi: Ket, cut_a, cut_b, restarts: int = 32,
     norm = np.linalg.norm(psi.amps)
     if abs(norm - 1.0) > 1e-6:
         raise StateError("hmax_conditional requires a normalized pure state")
-    rho_ab = reduced_state(psi, cut_a + cut_b)
-    dim_a = int(np.prod([psi.dims[k] for k in cut_a]))
-    dim_b = int(np.prod([psi.dims[k] for k in cut_b]))
-    # reorder the reduced state's factors so the a-group precedes the b-group
-    merged = sorted(cut_a + cut_b)
-    perm = [merged.index(k) for k in cut_a] + [merged.index(k) for k in cut_b]
-    md = [psi.dims[k] for k in merged]
-    t = rho_ab.mat.reshape(md + md)
-    t = np.transpose(t, perm + [len(md) + p for p in perm])
-    rho_ab = DensityOp(t.reshape(dim_a * dim_b, dim_a * dim_b),
-                       (dim_a, dim_b), check=False)
-
-    rng = np.random.default_rng(seed)
-
-    def unpack(x):
-        g = (x[: dim_b * dim_b] + 1j * x[dim_b * dim_b:]).reshape(dim_b, dim_b)
-        s = g.conj().T @ g
-        tr = np.trace(s).real
-        if tr <= 1e-300:
-            return np.eye(dim_b) / dim_b
-        return s / tr
-
-    sqrt_rho_ab = _sqrtm_psd(rho_ab.mat)
-
-    def neg_obj(x):
-        return -_hmax_objective(sqrt_rho_ab, unpack(x), dim_a)
-
-    best = -np.inf
-    starts = [np.concatenate([np.eye(dim_b).reshape(-1), np.zeros(dim_b * dim_b)])]
-    # bias one start toward the reduced state on b
-    sqrt_rb = _sqrtm_psd(partial_trace(rho_ab, [1]).mat)
-    starts.append(np.concatenate([sqrt_rb.real.reshape(-1),
-                                  sqrt_rb.imag.reshape(-1)]))
-    while len(starts) < max(2, restarts):
-        starts.append(rng.normal(size=2 * dim_b * dim_b))
-    # imported here, its only use, to keep scipy off every other import path
-    from scipy import optimize
-
-    at_cap = 0
-    for x0 in starts[: max(2, restarts)]:
-        res = optimize.minimize(neg_obj, x0, method="Nelder-Mead",
-                                options={"maxiter": 4000, "xatol": tol,
-                                         "fatol": tol * 1e-2})
-        best = max(best, -res.fun)
-        at_cap += res.status == 2
-
-    out = {"value": float(best), "certified_lower": True,
-           "restarts_at_cap": int(at_cap)}
     rest = [k for k in range(psi.nsys) if k not in cut_a and k not in cut_b]
+    dim_a = math.prod(psi.dims[k] for k in cut_a)
+    dim_b = math.prod(psi.dims[k] for k in cut_b)
+    m = np.transpose(psi.tensor(), rest + cut_a + cut_b).reshape(
+        -1, dim_a * dim_b)
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    rank = _rank_above(s, DEFAULT_TOL)
+    w = (vh[:rank].T * s[:rank]).reshape(dim_a, dim_b, rank)
+
+    mixed = np.eye(dim_b) / dim_b
+    sigma = mixed
+    lower, upper = -np.inf, np.inf
+    for steps in range(1, HMAX_STEP_CAP + 1):
+        lo, up, nxt = _hmax_step(w, sigma)
+        lower, upper = max(lower, lo), min(upper, up)
+        if upper - lower <= tol:
+            break
+        sigma = (1.0 - HMAX_MIX) * nxt + HMAX_MIX * mixed
+    at_cap = 0
+    if upper - lower > tol:
+        best, at_cap = _hmax_fallback(w, restarts, tol, seed)
+        lower = max(lower, best)
+
+    out = {"value": lower, "lower": lower, "upper": upper,
+           "gap": upper - lower, "steps": steps, "certified_lower": True,
+           "restarts_at_cap": at_cap}
     if rest:
-        rho_r = reduced_state(psi, rest)
-        d_r = rho_r.mat.shape[0]
-        if np.max(np.abs(rho_r.mat - np.eye(d_r) / d_r)) < 1e-8:
-            lam0_b = float(np.max(np.linalg.eigvalsh(
-                reduced_state(psi, cut_b).mat)))
+        rho_r = m @ m.conj().T
+        d_r = rho_r.shape[0]
+        if np.max(np.abs(rho_r - np.eye(d_r) / d_r)) < 1e-8:
+            lam0_b = float(np.max(np.linalg.eigvalsh(_trace_a(w))))
             out["upper_bound"] = float(np.log2(lam0_b * d_r))
     return out
 
