@@ -6,6 +6,7 @@ configuration-limited dynamic simulator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,10 +76,12 @@ class GraphState:
                 if self.adjacency[v, u]]
 
 
+@functools.lru_cache(maxsize=16)
 def resource_graph_state(circ: CircuitSpec):
     """The preparation resource: one auxiliary vertex per gate wired to the
     gate's two targets; returns (graph, plus-state graph ket) and verifies
-    the vertex stabilizers."""
+    the vertex stabilizers.  Built once per circuit; the arrays are
+    read-only."""
     n_t, n_a = circ.n_qubits, circ.n_gates
     n = n_t + n_a
     adj = np.zeros((n, n), dtype=bool)
@@ -96,6 +99,7 @@ def resource_graph_state(circ: CircuitSpec):
     for v in range(n):
         if not _stabilizer_holds(ket, graph, v):
             raise RuntimeError(f"graph-state stabilizer failed at vertex {v}")
+    adj.flags.writeable = False
     return graph, ket
 
 
@@ -353,10 +357,17 @@ def permutation_scan(circ: CircuitSpec = None,
     }
 
 
+BOUND_CHUNK = 1 << 16   # assignments per array chunk of the bound search
+
+
 def bipartite_bound_check(m: int, big_d: int, cap: int = 10 ** 7) -> dict:
     """Exhaustive check that pair-distributed entanglement on the complete
     graph of 2m parties meeting every balanced-cut rank condition forces a
-    local dimension of at least D^(2 - 1/m)."""
+    local dimension of at least D^(2 - 1/m).
+
+    Assignments of ranks 1..D^m to the edges are enumerated in
+    ``itertools.product`` order, ``BOUND_CHUNK`` at a time; the witness is
+    the first assignment in that order attaining the minimum."""
     if m < 2 or big_d < 2:
         raise ValueError("need m >= 2 and D >= 2")
     parties = list(range(2 * m))
@@ -374,28 +385,24 @@ def bipartite_bound_check(m: int, big_d: int, cap: int = 10 ** 7) -> dict:
         if key in seen:
             continue
         seen.add(key)
-        cuts.append([e for e in edges
+        cuts.append([i for i, e in enumerate(edges)
                      if (e[0] in side) != (e[1] in side)])
+    incident = [[i for i, e in enumerate(edges) if p in e] for p in parties]
+    # place value of each edge's digit: the first edge is most significant
+    place = max_rank ** np.arange(len(edges) - 1, -1, -1, dtype=np.int64)
     best = None
     best_assign = None
-    for assign in itertools.product(range(1, max_rank + 1),
-                                    repeat=len(edges)):
-        ok = True
+    for start in range(0, space, BOUND_CHUNK):
+        idx = np.arange(start, min(start + BOUND_CHUNK, space), dtype=np.int64)
+        ranks = idx[:, None] // place % max_rank + 1
+        ok = np.ones(len(idx), dtype=bool)
         for cut in cuts:
-            prod = 1
-            for idx, e in enumerate(edges):
-                if e in cut:
-                    prod *= assign[idx]
-            if prod < need:
-                ok = False
-                break
-        if not ok:
-            continue
-        local = max(
-            int(np.prod([assign[i] for i, e in enumerate(edges) if p in e]))
-            for p in parties)
-        if best is None or local < best:
-            best, best_assign = local, assign
+            ok &= ranks[:, cut].prod(axis=1) >= need
+        local = np.max([ranks[:, inc].prod(axis=1) for inc in incident],
+                       axis=0)
+        j = int(np.argmin(np.where(ok, local, np.iinfo(np.int64).max)))
+        if ok[j] and (best is None or local[j] < best):
+            best, best_assign = int(local[j]), tuple(ranks[j].tolist())
     bound = big_d ** (2.0 - 1.0 / m)
     symmetric = int(math.ceil(big_d ** (1.0 / m)))
     sym_ok = all(symmetric ** len(cut) >= need for cut in cuts)
@@ -443,11 +450,19 @@ class ScheduleError(ValueError):
     """Raised when a schedule step violates the configuration."""
 
 
+AUDIT_STACK_AMPS = 1 << 14   # amplitudes of pending post-step states
+
+
 class DynamicSimulator:
     """Slot-level simulator for the dynamic setting: local unitaries and
     projective measurements within a party, plus single-qubit sends whose
     receiving slot must be free; an audit trail records the Schmidt rank
-    across every single-party cut after each step."""
+    across every single-party cut after each step.
+
+    ``apply`` runs every check at once but only records the post-step
+    state; the ranks of all recorded states are computed together when
+    ``audit`` is read, or once the records hold ``AUDIT_STACK_AMPS``
+    amplitudes."""
 
     def __init__(self, config: Configuration, seed: int = 0):
         self.config = config
@@ -456,16 +471,20 @@ class DynamicSimulator:
         self.state = np.zeros((2,) * self.n, dtype=complex)
         self.state[(0,) * self.n] = 1.0
         self.rng = np.random.default_rng(seed)
-        self.audit = []
+        self._audit = []
+        self._pending = []
         self.step_count = 0
-        # (party, axis order with the party's slots first, left dimension)
-        # for every party cut that has slots on both sides
-        self._cuts = []
+        # every party cut with slots on both sides, grouped by the party's
+        # dimension: {dim: (parties, stack axis orders with the rest first)}
+        self._cut_groups = {}
         for p in sorted(config.slots):
             mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
             if mine and len(mine) < self.n:
                 rest = [i for i in range(self.n) if i not in mine]
-                self._cuts.append((p, mine + rest, 2 ** len(mine)))
+                parties, orders = self._cut_groups.setdefault(
+                    2 ** len(mine), ([], []))
+                parties.append(p)
+                orders.append([0] + [1 + i for i in rest + mine])
 
     def _pos(self, party, slot):
         try:
@@ -474,14 +493,46 @@ class DynamicSimulator:
             raise ScheduleError(
                 f"party {party} slot {slot} outside the configuration")
 
-    def _ranks(self) -> dict:
-        """Schmidt rank across every party cut of the current state."""
+    def _check_norm(self):
         norm = np.linalg.norm(self.state)
         if abs(norm - 1.0) > 1e-6:
             raise StateError(
                 f"step {self.step_count}: state norm {norm} deviates from 1")
-        return {p: singular_rank(self.state.transpose(order).reshape(dl, -1))
-                for p, order, dl in self._cuts}
+
+    def _ranks(self, states) -> list:
+        """Schmidt rank across every party cut of each state in the stack
+        ``states`` (k, 2, ..., 2): one singular-value call per cut shape
+        over all (state, cut) pairs, each cut a (rest, party) matrix.  A
+        call takes as many cuts as fit in ``AUDIT_STACK_AMPS`` amplitudes,
+        and at least one."""
+        k = len(states)
+        per_call = max(1, AUDIT_STACK_AMPS // states.size)
+        found = {}
+        for dim, (parties, orders) in self._cut_groups.items():
+            for c in range(0, len(orders), per_call):
+                block = orders[c:c + per_call]
+                mats = np.empty((k, len(block)) + states.shape[1:], complex)
+                for j, order in enumerate(block):
+                    mats[:, j] = states.transpose(order)
+                ranks = singular_rank(mats.reshape(k * len(block), -1, dim))
+                for p, col in zip(parties[c:], ranks.reshape(k, -1).T):
+                    found[p] = col.tolist()
+        parties = sorted(found)
+        return [{p: found[p][i] for p in parties} for i in range(k)]
+
+    def _flush(self):
+        """Audit every recorded post-step state."""
+        if self._pending:
+            states = (self._pending[0][None] if len(self._pending) == 1
+                      else np.stack(self._pending))
+            self._audit += self._ranks(states)
+            self._pending = []
+
+    @property
+    def audit(self) -> list:
+        """Party-cut ranks after each applied step."""
+        self._flush()
+        return self._audit
 
     def apply(self, step):
         self.step_count += 1
@@ -498,11 +549,10 @@ class DynamicSimulator:
                 raise ScheduleError(
                     f"step {self.step_count}: matrix is not unitary "
                     f"(max |U^dag U - 1| = {dev:.3g})")
-            t = np.moveaxis(self.state, pos, range(len(pos)))
-            shp = t.shape
-            t = mat @ t.reshape(2 ** len(pos), -1)
-            t = t.reshape((2,) * len(pos) + shp[len(pos):])
-            self.state = np.moveaxis(t, range(len(pos)), pos)
+            order = pos + [i for i in range(self.n) if i not in pos]
+            t = self.state.transpose(order)
+            t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
+            self.state = t.transpose(np.argsort(order))
         elif op == "measure":
             pos = self._pos(step["party"], step["slot"])
             t = np.moveaxis(self.state, pos, 0)
@@ -520,23 +570,30 @@ class DynamicSimulator:
             dst = self._pos(*step["to"])
             if src == dst:
                 raise ScheduleError("send to the same slot")
-            t = np.moveaxis(self.state, dst, 0)
-            if np.linalg.norm(t[1]) > 1e-9:
+            if np.linalg.norm(np.take(self.state, 1, axis=dst)) > 1e-9:
                 raise ScheduleError(
                     f"step {self.step_count}: receiving slot "
                     f"{step['to']} is not initialized")
-            t = np.moveaxis(t, 0, dst)
-            self.state = np.swapaxes(t, src, dst)
+            self.state = np.swapaxes(self.state, src, dst)
         else:
             raise ScheduleError(f"unknown step {op}")
-        self.audit.append(self._ranks())
+        self._check_norm()
+        # a copy: the audit must see the state as it was after this step
+        self._pending.append(self.state.copy())
+        if len(self._pending) * self.state.size >= AUDIT_STACK_AMPS:
+            self._flush()
         return step
 
     def ket(self) -> Ket:
         return Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
 
     def rank_to_party(self, party) -> int:
-        ranks = self.audit[-1] if self.audit else self._ranks()
+        audit = self.audit
+        if audit:
+            ranks = audit[-1]
+        else:
+            self._check_norm()
+            ranks = self._ranks(self.state[None])[0]
         if party not in ranks:
             raise ValueError(f"party {party} has no slots on one side of "
                              "its cut")

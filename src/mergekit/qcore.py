@@ -225,7 +225,8 @@ def schmidt_rank(psi: Ket, cut: Bipartition, tol: float = DEFAULT_TOL) -> int:
 
 def singular_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values of ``m`` above ``tol`` relative to the
-    largest: the Schmidt rank of a ket reshaped to ``m`` across its cut."""
+    largest: the Schmidt rank of a ket reshaped to ``m`` across its cut.
+    A stack of matrices (n, r, c) gives an array of n ranks."""
     return _rank_above(np.linalg.svd(m, compute_uv=False), tol)
 
 
@@ -257,20 +258,24 @@ def purify(rho: DensityOp) -> Ket:
     return Ket(amps.reshape(-1), rho.dims + (rank,))
 
 
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
+def _sqrtm_psd(mat: np.ndarray, rel_floor: float = 0.0) -> np.ndarray:
+    """Square root of a positive semidefinite matrix; eigenvalues at or
+    below ``rel_floor`` times the largest count as zero."""
     ev, vec = np.linalg.eigh((mat + mat.conj().T) / 2)
-    ev = np.clip(ev, 0.0, None)
+    ev = np.where(ev > rel_floor * max(ev[-1], 0.0), ev, 0.0)
     return (vec * np.sqrt(ev)) @ vec.conj().T
 
 
 def fidelity(rho: DensityOp, sigma: DensityOp) -> float:
-    """Square-root fidelity ``|| sqrt(rho) sqrt(sigma) ||_1``."""
+    """Square-root fidelity ``|| sqrt(rho) sqrt(sigma) ||_1``, the sum of
+    the singular values of ``sqrt(rho) sqrt(sigma)``.  Eigenvalues within
+    rounding of zero (n eps of the largest) count as zero: their square
+    roots, ~1e-8, would lift the fidelity of rank-deficient states."""
     if rho.dims != sigma.dims:
         raise ValueError("dims mismatch")
-    s = _sqrtm_psd(rho.mat)
-    inner = s @ sigma.mat @ s
-    ev = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    return float(min(1.0, np.sum(np.sqrt(ev))))
+    floor = len(rho.mat) * np.finfo(float).eps
+    prod = _sqrtm_psd(rho.mat, floor) @ _sqrtm_psd(sigma.mat, floor)
+    return float(min(1.0, np.sum(np.linalg.svd(prod, compute_uv=False))))
 
 
 def purified_distance(rho: DensityOp, sigma: DensityOp) -> float:

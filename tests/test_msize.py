@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mergekit import qcore
+from mergekit import msize, qcore
 from mergekit.msize import (
     CONFIG_D0,
     CONFIG_D1,
@@ -27,7 +27,8 @@ from mergekit.msize import (
     verify_resource_preparation,
 )
 from mergekit.msize import _mbqc_branches
-from mergekit.qcore import Bipartition, Ket, schmidt_decompose, schmidt_rank
+from mergekit.qcore import (Bipartition, Ket, StateError, schmidt_decompose,
+                            schmidt_rank)
 
 RNG = np.random.default_rng(17)
 
@@ -182,6 +183,80 @@ def test_bound_check():
         bipartite_bound_check(4, 4)   # search space above the cap
 
 
+def _reference_bound_check(m, big_d):
+    """The bound search as first written: one Python loop over every
+    assignment in ``itertools.product`` order."""
+    parties = list(range(2 * m))
+    edges = list(itertools.combinations(parties, 2))
+    need = big_d ** m
+    cuts = []
+    seen = set()
+    for side in itertools.combinations(parties, m):
+        other = tuple(p for p in parties if p not in side)
+        key = frozenset((side, other))
+        if key in seen:
+            continue
+        seen.add(key)
+        cuts.append([e for e in edges
+                     if (e[0] in side) != (e[1] in side)])
+    best = None
+    best_assign = None
+    for assign in itertools.product(range(1, need + 1), repeat=len(edges)):
+        ok = True
+        for cut in cuts:
+            prod = 1
+            for idx, e in enumerate(edges):
+                if e in cut:
+                    prod *= assign[idx]
+            if prod < need:
+                ok = False
+                break
+        if not ok:
+            continue
+        local = max(
+            int(np.prod([assign[i] for i, e in enumerate(edges) if p in e]))
+            for p in parties)
+        if best is None or local < best:
+            best, best_assign = local, assign
+    bound = big_d ** (2.0 - 1.0 / m)
+    symmetric = int(np.ceil(big_d ** (1.0 / m)))
+    return {
+        "m": m,
+        "logical_dim": big_d,
+        "min_max_local_dim": int(best),
+        "bound": float(bound),
+        "meets_bound": bool(best >= bound - 1e-9),
+        "witness_assignment": best_assign,
+        "symmetric_rank": symmetric,
+        "symmetric_feasible": all(symmetric ** len(c) >= need for c in cuts),
+    }
+
+
+def test_bound_check_matches_enumeration_oracle():
+    rep = bipartite_bound_check(2, 2)
+    ref = _reference_bound_check(2, 2)
+    assert rep == ref
+    assert all(type(r) is int for r in rep["witness_assignment"])
+    assert type(rep["min_max_local_dim"]) is int
+
+
+def test_bound_check_d3_optimum():
+    # the oracle takes ~15 s here; its result is pinned instead
+    rep = bipartite_bound_check(2, 3)
+    assert rep["min_max_local_dim"] == 8
+    assert rep["witness_assignment"] == (2,) * 6
+    assert all(type(r) is int for r in rep["witness_assignment"])
+
+
+def test_bound_check_witness_is_first_minimum_across_chunks(monkeypatch):
+    # chunks smaller than the space, so the first minimum must survive the
+    # comparison between chunks
+    ref = bipartite_bound_check(2, 2)
+    for chunk in (7, 64, 4095):
+        monkeypatch.setattr(msize, "BOUND_CHUNK", chunk)
+        assert bipartite_bound_check(2, 2) == ref
+
+
 def test_dynamic_simulator_basics():
     sim = DynamicSimulator(Configuration({1: 2, 2: 1}))
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -319,16 +394,20 @@ class _ReferenceSimulator(DynamicSimulator):
     """The audit as first written: a Ket per step and a full Schmidt
     decomposition per party cut."""
 
-    def _ranks(self):
-        ket = Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
-        ranks = {}
-        for p in sorted(self.config.slots):
-            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
-            if not mine or len(mine) == self.n:
-                continue
-            rest = [i for i in range(self.n) if i not in mine]
-            ranks[p] = schmidt_decompose(ket, Bipartition(mine, rest)).rank
-        return ranks
+    def _ranks(self, states):
+        out = []
+        for state in states:
+            ket = Ket(state.reshape(-1), (2,) * self.n, normalized=False)
+            ranks = {}
+            for p in sorted(self.config.slots):
+                mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
+                if not mine or len(mine) == self.n:
+                    continue
+                rest = [i for i in range(self.n) if i not in mine]
+                ranks[p] = schmidt_decompose(ket, Bipartition(mine,
+                                                              rest)).rank
+            out.append(ranks)
+        return out
 
 
 def _run_both(config, schedule, seed):
@@ -393,3 +472,68 @@ def test_non_unitary_step_rejected(matrix):
                    "matrix": matrix})
     assert np.array_equal(sim.state, before)
     assert len(sim.audit) == 1
+
+
+def test_audit_has_one_entry_per_applied_step():
+    rng = np.random.default_rng(4242)
+    for config in (CONFIG_D1, CONFIG_D0):
+        sim = DynamicSimulator(config, seed=1)
+        ref = _ReferenceSimulator(config, seed=1)
+        for step in random_legal_schedule(config, rng, length=12):
+            sim.apply(step)
+            ref.apply(step)
+            assert len(sim.audit) == sim.step_count
+            assert sim.audit == ref.audit
+
+
+def test_audit_flushes_within_the_stack_bound(monkeypatch):
+    monkeypatch.setattr(msize, "AUDIT_STACK_AMPS", 3 * 32)
+    rng = np.random.default_rng(77)
+    schedule = random_legal_schedule(CONFIG_D1, rng, length=20)
+    sim = DynamicSimulator(CONFIG_D1, seed=2)
+    for step in schedule:
+        sim.apply(step)
+        assert len(sim._pending) < 3
+    ref = _ReferenceSimulator(CONFIG_D1, seed=2)
+    for step in schedule:
+        ref.apply(step)
+    assert sim.audit == ref.audit
+
+
+def test_schedule_error_keeps_the_earlier_audit():
+    rng = np.random.default_rng(31)
+    schedule = random_legal_schedule(CONFIG_D1, rng, length=12)
+    bad = {"op": "send", "from": (1, 0), "to": (9, 0)}
+    for k in (1, 4, len(schedule) + 1):
+        steps = schedule[:k - 1] + [bad]
+        audits = []
+        for sim in (DynamicSimulator(CONFIG_D1, seed=3),
+                    _ReferenceSimulator(CONFIG_D1, seed=3)):
+            with pytest.raises(ScheduleError):
+                for step in steps:
+                    sim.apply(step)
+            assert sim.step_count == k
+            assert len(sim.audit) == k - 1
+            audits.append(sim.audit)
+        assert audits[0] == audits[1]
+
+
+def test_unnormalised_state_raises_at_its_step():
+    sim = DynamicSimulator(CONFIG_D1)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    sim.apply({"op": "unitary", "party": 1, "slots": [0], "matrix": h})
+    sim.state = sim.state * 3
+    with pytest.raises(StateError, match="step 2: state norm"):
+        sim.apply({"op": "unitary", "party": 2, "slots": [0], "matrix": h})
+    assert len(sim.audit) == 1
+
+
+def test_resource_graph_state_cached_read_only():
+    circ = default_circuit()
+    first = resource_graph_state(circ)
+    assert resource_graph_state(CircuitSpec(8, circ.gates)) is first
+    graph, ket = first
+    with pytest.raises(ValueError):
+        ket.amps[0] = 0.0
+    with pytest.raises(ValueError):
+        graph.adjacency[0, 1] = False

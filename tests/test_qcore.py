@@ -193,6 +193,18 @@ def test_fidelity_and_distances():
     assert abs(purified_distance(zero, plus) - 1 / np.sqrt(2)) < 1e-9
 
 
+def test_fidelity_of_pure_state_is_exact():
+    # sqrt(rho) of a pure state must not pick up the ~1e-8 square roots of
+    # its rounding-level eigenvalues
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        psi = random_ket([2, 2], rng)
+        sigma = random_density([2, 2], rng)
+        exact = np.sqrt(np.vdot(psi.amps, sigma.mat @ psi.amps).real)
+        assert abs(fidelity(psi.density(), sigma) - exact) < 1e-12
+        assert abs(fidelity(sigma, psi.density()) - exact) < 1e-12
+
+
 def test_fuchs_van_de_graaf():
     for _ in range(30):
         rho = random_density([2, 2], RNG)
