@@ -343,6 +343,7 @@ def cmd_msize(args, seed):
             "steps": len(out["steps"]),
             "audit": [{str(k): v for k, v in entry.items()}
                       for entry in out["audit"]],
+            "diagnostics": out["diagnostics"],
         }
         return _report("msize-dynamic", [args.schedule], results,
                        {"norm_preserved": bool(

@@ -459,8 +459,20 @@ class DynamicSimulator:
     receiving slot must be free; an audit trail records the Schmidt rank
     across every single-party cut after each step.
 
-    ``apply`` runs every check at once but only records the post-step
-    state; the ranks of all recorded states are computed together when
+    ``apply`` runs every check at once.  The audit recomputes only the cuts
+    a step can change and carries every other rank over from the previous
+    entry (the first from ``|0...0>``, where every rank is 1):
+
+    - a ``unitary`` changes none: it passed the unitarity check, so it is
+      an invertible operator within one party, which keeps every
+      single-party Schmidt rank;
+    - a ``send`` between two parties changes their two cuts; for any other
+      party it only permutes the rest side of the cut matrix;
+    - a ``measure`` may change every cut: a projection at one party can
+      lower another party's rank.
+
+    A step that touches a cut records a copy of the post-step state; the
+    ranks of all recorded (state, cut) pairs are computed together when
     ``audit`` is read, or once the records hold ``AUDIT_STACK_AMPS``
     amplitudes."""
 
@@ -472,19 +484,19 @@ class DynamicSimulator:
         self.state[(0,) * self.n] = 1.0
         self.rng = np.random.default_rng(seed)
         self._audit = []
-        self._pending = []
+        self._touched = []   # per step since the last flush: cuts it changes
+        self._pending = []   # post-step states of the steps that touch a cut
+        self._computed = 0
+        self._carried = 0
         self.step_count = 0
-        # every party cut with slots on both sides, grouped by the party's
-        # dimension: {dim: (parties, stack axis orders with the rest first)}
-        self._cut_groups = {}
+        # every party cut with slots on both sides:
+        # {party: (party dimension, axis order with the rest first)}
+        self._cuts = {}
         for p in sorted(config.slots):
             mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
             if mine and len(mine) < self.n:
                 rest = [i for i in range(self.n) if i not in mine]
-                parties, orders = self._cut_groups.setdefault(
-                    2 ** len(mine), ([], []))
-                parties.append(p)
-                orders.append([0] + [1 + i for i in rest + mine])
+                self._cuts[p] = (2 ** len(mine), rest + mine)
 
     def _pos(self, party, slot):
         try:
@@ -499,40 +511,57 @@ class DynamicSimulator:
             raise StateError(
                 f"step {self.step_count}: state norm {norm} deviates from 1")
 
-    def _ranks(self, states) -> list:
-        """Schmidt rank across every party cut of each state in the stack
-        ``states`` (k, 2, ..., 2): one singular-value call per cut shape
-        over all (state, cut) pairs, each cut a (rest, party) matrix.  A
-        call takes as many cuts as fit in ``AUDIT_STACK_AMPS`` amplitudes,
-        and at least one."""
-        k = len(states)
-        per_call = max(1, AUDIT_STACK_AMPS // states.size)
-        found = {}
-        for dim, (parties, orders) in self._cut_groups.items():
-            for c in range(0, len(orders), per_call):
-                block = orders[c:c + per_call]
-                mats = np.empty((k, len(block)) + states.shape[1:], complex)
-                for j, order in enumerate(block):
-                    mats[:, j] = states.transpose(order)
-                ranks = singular_rank(mats.reshape(k * len(block), -1, dim))
-                for p, col in zip(parties[c:], ranks.reshape(k, -1).T):
-                    found[p] = col.tolist()
-        parties = sorted(found)
-        return [{p: found[p][i] for p in parties} for i in range(k)]
+    def _ranks(self, states, touched) -> list:
+        """Schmidt rank across the party cuts ``touched[i]`` of each state
+        ``states[i]``: one singular-value call per cut shape over all
+        (state, cut) pairs, each cut a (rest, party) matrix.  A call takes
+        as many cuts as fit in ``AUDIT_STACK_AMPS`` amplitudes, and at
+        least one."""
+        out = [{} for _ in states]
+        by_dim = {}
+        for i, parties in enumerate(touched):
+            for p in parties:
+                by_dim.setdefault(self._cuts[p][0], []).append((i, p))
+        per_call = max(1, AUDIT_STACK_AMPS // self.state.size)
+        for dim, pairs in by_dim.items():
+            for c in range(0, len(pairs), per_call):
+                block = pairs[c:c + per_call]
+                mats = np.empty((len(block),) + self.state.shape, complex)
+                for j, (i, p) in enumerate(block):
+                    mats[j] = states[i].transpose(self._cuts[p][1])
+                ranks = singular_rank(mats.reshape(len(block), -1, dim))
+                for (i, p), r in zip(block, ranks.tolist()):
+                    out[i][p] = r
+                self._computed += len(block)
+        return out
 
     def _flush(self):
-        """Audit every recorded post-step state."""
-        if self._pending:
-            states = (self._pending[0][None] if len(self._pending) == 1
-                      else np.stack(self._pending))
-            self._audit += self._ranks(states)
-            self._pending = []
+        """Audit every step applied since the last flush."""
+        if not self._touched:
+            return
+        found = iter(self._ranks(self._pending,
+                                 [t for t in self._touched if t]))
+        prev = (self._audit[-1] if self._audit
+                else dict.fromkeys(self._cuts, 1))
+        for parties in self._touched:
+            prev = {**prev, **next(found)} if parties else dict(prev)
+            self._carried += len(self._cuts) - len(parties)
+            self._audit.append(prev)
+        self._touched, self._pending = [], []
 
     @property
     def audit(self) -> list:
         """Party-cut ranks after each applied step."""
         self._flush()
         return self._audit
+
+    @property
+    def diagnostics(self) -> dict:
+        """How the audit's ranks were obtained: computed from singular
+        values, or carried over from the previous entry."""
+        self._flush()
+        return {"cut_ranks_computed": self._computed,
+                "cut_ranks_carried": self._carried}
 
     def apply(self, step):
         self.step_count += 1
@@ -553,6 +582,7 @@ class DynamicSimulator:
             t = self.state.transpose(order)
             t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
             self.state = t.transpose(np.argsort(order))
+            touched = ()
         elif op == "measure":
             pos = self._pos(step["party"], step["slot"])
             t = np.moveaxis(self.state, pos, 0)
@@ -565,6 +595,7 @@ class DynamicSimulator:
             self.state = np.moveaxis(keep / norm, 0, pos)
             step = dict(step)
             step["outcome"] = outcome
+            touched = tuple(self._cuts)
         elif op == "send":
             src = self._pos(*step["from"])
             dst = self._pos(*step["to"])
@@ -575,13 +606,18 @@ class DynamicSimulator:
                     f"step {self.step_count}: receiving slot "
                     f"{step['to']} is not initialized")
             self.state = np.swapaxes(self.state, src, dst)
+            ends = {self.slots[src][0], self.slots[dst][0]}
+            touched = (tuple(p for p in self._cuts if p in ends)
+                       if len(ends) == 2 else ())
         else:
             raise ScheduleError(f"unknown step {op}")
         self._check_norm()
-        # a copy: the audit must see the state as it was after this step
-        self._pending.append(self.state.copy())
-        if len(self._pending) * self.state.size >= AUDIT_STACK_AMPS:
-            self._flush()
+        self._touched.append(touched)
+        if touched:
+            # a copy: the audit must see the state as it was after this step
+            self._pending.append(self.state.copy())
+            if len(self._pending) * self.state.size >= AUDIT_STACK_AMPS:
+                self._flush()
         return step
 
     def ket(self) -> Ket:
@@ -593,7 +629,7 @@ class DynamicSimulator:
             ranks = audit[-1]
         else:
             self._check_norm()
-            ranks = self._ranks(self.state[None])[0]
+            ranks = self._ranks([self.state], [tuple(self._cuts)])[0]
         if party not in ranks:
             raise ValueError(f"party {party} has no slots on one side of "
                              "its cut")
@@ -695,7 +731,8 @@ RESOURCE_SLOT_VERTEX = {
 
 def dynamic_simulate(config: Configuration, schedule, seed: int = 0) -> dict:
     """Run a schedule under the configuration; returns the final state, the
-    executed steps (with measurement outcomes), and the audit trail."""
+    executed steps (with measurement outcomes), the audit trail, and how
+    many of its ranks were computed or carried over."""
     sim = DynamicSimulator(config, seed=seed)
     executed = []
     for step in schedule:
@@ -707,6 +744,7 @@ def dynamic_simulate(config: Configuration, schedule, seed: int = 0) -> dict:
         "audit": sim.audit,
         "rank_to_party": {p: sim.rank_to_party(p)
                           for p in sorted(config.slots) if config.slots[p]},
+        "diagnostics": sim.diagnostics,
     }
 
 
@@ -730,6 +768,9 @@ def verify_resource_preparation(seed: int = 0) -> dict:
     }
 
 
+STEP_KINDS = ("unitary", "unitary", "send", "measure")
+
+
 def random_legal_schedule(config: Configuration, rng, length: int = 20):
     """Random mixture of local unitaries, measurements, and legal sends."""
     from .qcore import random_unitary
@@ -739,9 +780,10 @@ def random_legal_schedule(config: Configuration, rng, length: int = 20):
     occupied = {(p, s): False for p in parties
                 for s in range(config.slots[p])}
     for _ in range(length):
-        kind = rng.choice(["unitary", "unitary", "send", "measure"])
+        # indexing by rng.integers draws what rng.choice on the list would
+        kind = STEP_KINDS[int(rng.integers(len(STEP_KINDS)))]
         if kind == "unitary":
-            p = int(rng.choice(parties))
+            p = parties[int(rng.integers(len(parties)))]
             n_slots = config.slots[p]
             k = int(rng.integers(1, min(2, n_slots) + 1))
             slots = list(rng.choice(n_slots, size=k, replace=False))

@@ -217,6 +217,10 @@ def test_msize_dynamic_cli(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["checks"]["norm_preserved"]
+    # the unitary carries both cut ranks over, the send recomputes both
+    assert rep["results"]["diagnostics"] == {"cut_ranks_computed": 2,
+                                             "cut_ranks_carried": 2}
+    assert _run(["msize", "dynamic", str(path)], capsys)[1] == out
 
 
 @pytest.mark.parametrize("matrix", [

@@ -391,23 +391,29 @@ def test_mbqc_worst_branch_is_first_maximum():
 
 
 class _ReferenceSimulator(DynamicSimulator):
-    """The audit as first written: a Ket per step and a full Schmidt
-    decomposition per party cut."""
+    """The audit as first written: after every step, whatever its kind, a
+    Ket and a full Schmidt decomposition per party cut."""
 
-    def _ranks(self, states):
-        out = []
-        for state in states:
-            ket = Ket(state.reshape(-1), (2,) * self.n, normalized=False)
-            ranks = {}
-            for p in sorted(self.config.slots):
-                mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
-                if not mine or len(mine) == self.n:
-                    continue
-                rest = [i for i in range(self.n) if i not in mine]
-                ranks[p] = schmidt_decompose(ket, Bipartition(mine,
-                                                              rest)).rank
-            out.append(ranks)
-        return out
+    def __init__(self, config, seed=0):
+        super().__init__(config, seed=seed)
+        self.full_audit = []
+
+    def apply(self, step):
+        step = super().apply(step)
+        ket = Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
+        ranks = {}
+        for p in sorted(self.config.slots):
+            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
+            if not mine or len(mine) == self.n:
+                continue
+            rest = [i for i in range(self.n) if i not in mine]
+            ranks[p] = schmidt_decompose(ket, Bipartition(mine, rest)).rank
+        self.full_audit.append(ranks)
+        return step
+
+    @property
+    def audit(self):
+        return self.full_audit
 
 
 def _run_both(config, schedule, seed):
@@ -436,6 +442,108 @@ def test_dynamic_audit_matches_per_cut_reference():
                 assert fast.rank_to_party(p) == schmidt_rank(
                     fast.ket(), Bipartition(
                         mine, [i for i in range(fast.n) if i not in mine]))
+
+
+def test_resource_audit_recomputes_two_cuts_per_send(monkeypatch):
+    # 12 sends between parties and 29 local unitaries: 2 cut matrices per
+    # send reach the singular-value call, none per unitary
+    schedule = resource_preparation_schedule()
+    kinds = [step["op"] for step in schedule]
+    assert (kinds.count("send"), kinds.count("unitary")) == (12, 29)
+    assert all(step["from"][0] != step["to"][0]
+               for step in schedule if step["op"] == "send")
+    cuts = []
+    rank = msize.singular_rank
+
+    def counting_rank(mats, *args, **kwargs):
+        cuts.append(len(mats))
+        return rank(mats, *args, **kwargs)
+
+    monkeypatch.setattr(msize, "singular_rank", counting_rank)
+    out = dynamic_simulate(CONFIG_D0, schedule)
+    assert sum(cuts) == 24
+    assert out["diagnostics"] == {"cut_ranks_computed": 24,
+                                  "cut_ranks_carried": 41 * 8 - 24}
+
+
+def test_measurement_lowers_other_parties_ranks():
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    ghz = [{"op": "unitary", "party": 1, "slots": [0], "matrix": h},
+           {"op": "unitary", "party": 1, "slots": [0, 1], "matrix": cnot},
+           {"op": "send", "from": (1, 1), "to": (2, 0)},
+           {"op": "unitary", "party": 1, "slots": [0, 1], "matrix": cnot},
+           {"op": "send", "from": (1, 1), "to": (3, 0)}]
+    for seed in (0, 1):
+        sim = DynamicSimulator(CONFIG_D1, seed=seed)
+        ref = _ReferenceSimulator(CONFIG_D1, seed=seed)
+        for step in ghz:
+            sim.apply(step)
+            ref.apply(step)
+        assert sim.audit[-1] == {1: 2, 2: 2, 3: 2, 4: 1}
+        measure = {"op": "measure", "party": 1, "slot": 0}
+        assert sim.apply(measure) == ref.apply(measure)
+        assert sim.audit[-1] == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert sim.audit == ref.audit
+
+
+def _choice_legal_schedule(config, rng, length):
+    """random_legal_schedule as first written, drawing the step kind and
+    the party with rng.choice on Python lists."""
+    parties = [p for p in sorted(config.slots) if config.slots[p] > 0]
+    steps = []
+    occupied = {(p, s): False for p in parties
+                for s in range(config.slots[p])}
+    for _ in range(length):
+        kind = rng.choice(["unitary", "unitary", "send", "measure"])
+        if kind == "unitary":
+            p = int(rng.choice(parties))
+            n_slots = config.slots[p]
+            k = int(rng.integers(1, min(2, n_slots) + 1))
+            slots = list(rng.choice(n_slots, size=k, replace=False))
+            steps.append({"op": "unitary", "party": p,
+                          "slots": [int(s) for s in slots],
+                          "matrix": qcore.random_unitary(2 ** k, rng)})
+            for s in slots:
+                occupied[(p, int(s))] = True
+        elif kind == "measure":
+            busy = [ps for ps, v in occupied.items() if v]
+            if not busy:
+                continue
+            p, s = busy[int(rng.integers(len(busy)))]
+            steps.append({"op": "measure", "party": p, "slot": s})
+        else:
+            busy = [ps for ps, v in occupied.items() if v]
+            free = [ps for ps, v in occupied.items() if not v]
+            if not busy or not free:
+                continue
+            src = busy[int(rng.integers(len(busy)))]
+            dsts = [ps for ps in free if ps[0] != src[0]]
+            if not dsts:
+                continue
+            dst = dsts[int(rng.integers(len(dsts)))]
+            steps.append({"op": "send", "from": src, "to": dst})
+            occupied[src] = False
+            occupied[dst] = True
+    return steps
+
+
+def test_random_legal_schedule_keeps_the_choice_stream():
+    for config in (CONFIG_D1, CONFIG_D0):
+        for seed in range(200):
+            fast = random_legal_schedule(
+                config, np.random.default_rng(seed), length=20)
+            ref = _choice_legal_schedule(
+                config, np.random.default_rng(seed), length=20)
+            assert len(fast) == len(ref)
+            for a, b in zip(fast, ref):
+                assert a.keys() == b.keys()
+                for key in a:
+                    if key == "matrix":
+                        assert np.array_equal(a[key], b[key])
+                    else:
+                        assert a[key] == b[key]
+                        assert type(a[key]) is type(b[key])
 
 
 def test_dynamic_simulate_builds_no_ket_per_step(monkeypatch):
