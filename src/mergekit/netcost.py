@@ -197,8 +197,7 @@ def _verify_split_edge(phi: Ket, n_parties: int, side, rank: int) -> float:
 
 
 def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
-                           branch_cap: int = BRANCH_CAP, seed: int = 0,
-                           audit_cuts: bool = False) -> dict:
+                           seed: int = 0, audit_cuts: bool = False) -> dict:
     """Run the merge recursion from the last party down to the root,
     exhaustively over branches; per-edge cost is the maximum resource rank
     over reached branches.
@@ -265,9 +264,9 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
                 new_branches.append((new_state, p, new_own))
             if abs(pruned_total - prob) > 1e-7:
                 raise RuntimeError("branch probabilities failed to close")
-            if len(new_branches) > branch_cap:
+            if len(new_branches) > BRANCH_CAP:
                 raise BranchCapError(
-                    f"branch count {len(new_branches)} exceeds {branch_cap}")
+                    f"branch count {len(new_branches)} exceeds {BRANCH_CAP}")
         branches = new_branches
     # all information now flows to the root; recover the logical pair from
     # the reference cut's spectra, one batched svd per branch shape

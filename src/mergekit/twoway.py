@@ -6,6 +6,11 @@ The receiver's three-outcome measurement makes the large-block components
 orthogonal; the sender's thirty-three-outcome measurement (conditioned on the
 receiver's outcome) then leaves a rank-three maximally entangled pair with
 the reference in every branch, which the receiver rotates into the target.
+Both protocols run through the exhaustive simulator ``locc.simulate``; the
+four two-way checks are read from its audit, its branch probabilities and
+its branches' reference-cut amplitudes.  The literal variant's zero-padded
+sender family fails that audit, so its branch checks are not run: they
+read false and its total probability is None.
 """
 
 from __future__ import annotations
@@ -15,14 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kidecomp import ki_decompose_tripartite
-from .locc import (OneWayProtocol, ProtocolOp, _extend_isometry,
-                   branch_fidelities, simulate)
-from .qcore import Ket, reduced_state
+from .locc import (CompletenessError, LoccProtocol, OneWayProtocol,
+                   ProtocolOp, Round, _extend_isometry, _shift_phase,
+                   branch_fidelities, one_way_to_locc, simulate)
+from .qcore import (Bipartition, Ket, conditional_entropy, random_unitary,
+                    reduced_state)
 from .states import max_entangled, pauli_x, pauli_z
 
-DIM = 11
-QUBIT = 2   # leading block
-NONET = 9   # trailing block
+DIM = 11    # a qubit block then a nonet block
+# two-way protocols act on (reference, sender, receiver)
+_PARTIES = {"A": (1,), "B": (2,)}
+_TOL = 1e-8     # rank-three eigenvalues and component-image overlaps
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,8 @@ def build_instance(gamma1: complex, gamma2: complex) -> SeparationInstance:
     (unit modulus, nonreal, gamma2 distinct from +-i gamma1^2)."""
     g1, g2 = complex(gamma1), complex(gamma2)
     for name, g in (("gamma1", g1), ("gamma2", g2)):
+        if not np.isfinite(g):
+            raise ValueError(f"{name} must be finite, got {g}")
         if abs(abs(g) - 1.0) > 1e-12:
             raise ValueError(f"{name} must have unit modulus, got |{name}|="
                              f"{abs(g)}")
@@ -123,9 +133,7 @@ def one_way_protocol(inst: SeparationInstance) -> OneWayProtocol:
     a0, b0 = [], []
     phi2 = max_entangled(2).amps
     for m in range(4):
-        x2, z2 = pauli_x(2), pauli_z(2)
-        sigma = (np.linalg.matrix_power(x2, m // 2)
-                 @ np.linalg.matrix_power(z2, m % 2))
+        sigma = _shift_phase(2, m)
         a0.append((np.kron(np.eye(2), sigma) @ phi2).conj().reshape(1, 4))
         b0.append(sigma.T)      # resource half -> merged block coords
     per_block_a.append(a0)
@@ -237,7 +245,6 @@ def verify_one_way(inst: SeparationInstance, tamper: bool = False,
         psi = Ket(t.reshape(-1), psi.dims)
     proto = one_way_protocol(inst)
     inp = psi.kron(max_entangled(2))
-    from .locc import one_way_to_locc
     locc = one_way_to_locc(proto, a_slots=(1, 3), b_slots=(2, 4))
     branches = simulate(locc, inp)
     target = np.zeros((3, 1, DIM, DIM, 2), dtype=complex)
@@ -267,22 +274,14 @@ def verify_one_way(inst: SeparationInstance, tamper: bool = False,
         report["computed_partition_matches_weights"] = bool(np.allclose(
             sorted(ki.probs), sorted([2 / 11, 3 / 11, 3 / 11, 3 / 11]),
             atol=1e-9))
-        report["pass"] = (report["pass"]
-                          and report["computed_partition_matches_weights"])
+        report["pass"] &= report["computed_partition_matches_weights"]
     return report
 
 
 def generic_one_way_cost(inst: SeparationInstance) -> float:
     """Non-catalytic cost of the unmodified block protocol on the coarse
     structure, which teleports each cyclic block wholesale."""
-    blocks = _analytic_blocks(inst)
-    k = 1
-    for blk in blocks:
-        if blk["dim"] == 2:
-            k = max(k, 2)       # fully quantum qubit block
-        else:
-            k = max(k, blk["dim"])
-    return float(np.log2(k))
+    return float(np.log2(max(blk["dim"] for blk in _analytic_blocks(inst))))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +289,9 @@ def generic_one_way_cost(inst: SeparationInstance) -> float:
 
 
 def receiver_measurement() -> list:
-    """The receiver's three-outcome measurement: a uniform shrink of the
-    qubit block plus projections onto the three nonet sectors."""
+    """The receiver's three-outcome measurement, as operators on its
+    subsystem: a uniform shrink of the qubit block plus projections onto
+    the three nonet sectors."""
     ops = []
     for j in range(3):
         m = np.zeros((DIM, DIM), dtype=complex)
@@ -299,7 +299,7 @@ def receiver_measurement() -> list:
         for t in range(3):
             i = 2 + 3 * j + t
             m[i, i] = 1.0
-        ops.append(m)
+        ops.append(ProtocolOp(m, (DIM,), (DIM,)))
     return ops
 
 
@@ -336,152 +336,122 @@ def sender_vectors(gamma2: complex) -> list:
 
 def sender_measurement(gamma2: complex, shift_power: int,
                        literal: bool = False) -> list:
-    """The sender's 33-outcome family for one receiver outcome: the base
-    bras composed with a block shift.  ``literal`` uses the zero-padded
-    shift that fails completeness on the qubit block."""
-    base = sender_vectors(gamma2)
+    """The sender's 33-outcome family for one receiver outcome, as
+    operators on its subsystem: the base bras composed with a block shift.
+    ``literal`` uses the zero-padded shift that fails completeness on the
+    qubit block."""
     op = np.zeros((DIM, DIM), dtype=complex)
     if not literal:
         op[0, 0] = op[1, 1] = 1.0
     op[2:, 2:] = np.linalg.matrix_power(pauli_x(9), shift_power)
-    return [v.conj().reshape(1, DIM) @ op for v in base]
+    return [ProtocolOp(v.conj().reshape(1, DIM) @ op, (DIM,), (1,))
+            for v in sender_vectors(gamma2)]
 
 
-def verify_two_way(inst: SeparationInstance, literal: bool = False,
-                   tol: float = 1e-9) -> dict:
-    """Run the four checks of the zero-ebit two-way protocol.
+def _run(rounds, state: Ket) -> list:
+    """Simulate rounds over the parties (reference, sender, receiver); the
+    simulator audits every instrument a branch reaches."""
+    return simulate(LoccProtocol(_PARTIES, rounds, check=False), state)
 
-    (i) receiver completeness, (ii) sender completeness for every receiver
-    outcome, (iii) every reachable branch leaves a rank-three maximally
-    entangled pair with the reference, (iv) total probability one.  The
-    conditioning shift for receiver outcomes one and two is resolved by
-    searching {3, 6} for the power passing (iii); the zero-padded literal
-    variant fails (ii).
+
+def two_way_protocol(gamma2: complex, shifts: dict,
+                     literal: bool = False) -> LoccProtocol:
+    """The zero-ebit protocol: the receiver measures first, then the sender
+    measures the family for the receiver's outcome ``j``, block-shifted by
+    ``shifts[j]`` for ``j`` in {1, 2} and unshifted for outcome zero.
+    ``literal`` zero-pads the shifted families.  Left unaudited here:
+    ``simulate`` audits the instruments it reaches."""
+    sender = {(j,): sender_measurement(gamma2, p, literal and j > 0)
+              for j, p in {0: 0, **shifts}.items()}
+    return LoccProtocol(_PARTIES, [Round("B", {(): receiver_measurement()}),
+                                   Round("A", sender)], check=False)
+
+
+def _reference_grams(branches) -> np.ndarray:
+    """Per branch, the 3 x 3 Gram matrix G of its (3, DIM) reference-cut
+    amplitudes, whose row l is the branch's image of component l: G is the
+    identity over three iff the branch leaves a rank-three maximally
+    entangled pair with the reference."""
+    amps = np.array([b.state.amps for b in branches]).reshape(-1, 3, DIM)
+    return amps @ amps.conj().transpose(0, 2, 1)
+
+
+def _rank_three(grams: np.ndarray) -> bool:
+    return bool(np.all(np.abs(np.linalg.eigvalsh(grams) - 1 / 3) <= _TOL))
+
+
+def verify_two_way(inst: SeparationInstance, literal: bool = False) -> dict:
+    """Run the four checks of the zero-ebit two-way protocol, all read from
+    the exhaustive simulator.
+
+    (i) receiver completeness and (ii) sender completeness for every
+    receiver outcome are the simulator's audit; (iii) every branch leaves a
+    rank-three maximally entangled pair with the reference; (iv) the branch
+    probabilities sum to one.  ``discrimination``: in every branch the
+    images of the three components are orthogonal.  The shift for receiver
+    outcomes one and two is the first power in {3, 6} whose family passes
+    (iii) on that outcome's branch.  The audit refuses the zero-padded
+    literal variant, which fails (ii); its branch checks are not run, so
+    they read false and ``total_probability`` is None.
     """
-    psi_t = inst.psi.tensor()
-    b_ops = receiver_measurement()
-    checks = {}
-    acc = sum(m.conj().T @ m for m in b_ops)
-    checks["receiver_completeness"] = bool(
-        np.max(np.abs(acc - np.eye(DIM))) <= tol)
-
-    families = {0: sender_measurement(inst.gamma2, 0, literal=False)}
-    resolved = {}
-    for j in (1, 2):
-        if literal:
-            families[j] = sender_measurement(inst.gamma2, 3, literal=True)
-            resolved[j] = 3
-            continue
-        best = None
-        for p in (3, 6):
-            fam = sender_measurement(inst.gamma2, p, literal=False)
-            ok, _, _ = _branch_check(psi_t, fam, b_ops[j])
-            if ok:
-                best = (p, fam)
-                break
-        if best is None:
-            families[j] = sender_measurement(inst.gamma2, 3, literal=False)
-            resolved[j] = None
-        else:
-            resolved[j] = best[0]
-            families[j] = best[1]
-
-    sender_ok = True
-    for j in range(3):
-        acc = sum(m.conj().T @ m for m in families[j])
-        if np.max(np.abs(acc - np.eye(DIM))) > tol:
-            sender_ok = False
-    checks["sender_completeness"] = bool(sender_ok)
-
-    total = 0.0
-    branch_ok = True
-    for j in range(3):
-        ok, prob, _ = _branch_check(psi_t, families[j], b_ops[j])
-        branch_ok = branch_ok and ok
-        total += prob
-    checks["branches_maximally_entangled"] = bool(branch_ok)
-    checks["total_probability"] = bool(abs(total - 1.0) <= 1e-7)
-
-    discrimination = _discrimination_check(inst, families, b_ops)
-    return {
-        "checks": checks,
-        "resolved_shift": resolved,
-        "total_probability": float(total),
-        "cost_ebits": 0.0,
-        "discrimination": discrimination,
-        "pass": bool(all(checks.values())),
-    }
-
-
-def _branch_check(psi_t, a_family, b_op, tol: float = 1e-8):
-    """All reachable outcomes leave a rank-3 maximally entangled pair with
-    the reference; returns (ok, total probability, count)."""
-    ok = True
-    total = 0.0
-    count = 0
-    after_b = np.einsum("by,Ray->Rab", b_op, psi_t, optimize=True)
-    for m in a_family:
-        amp = np.einsum("xa,Rab->Rb", m, after_b, optimize=True)
-        p = float(np.linalg.norm(amp) ** 2)
-        total += p
-        if p <= 1e-12:
-            continue
-        count += 1
-        rho = amp @ amp.conj().T / p
-        ev = np.sort(np.linalg.eigvalsh(rho))[::-1]
-        if np.max(np.abs(ev[:3] - 1 / 3)) > tol or (ev[3:] > tol).any():
-            ok = False
-    return ok, total, count
-
-
-def _discrimination_check(inst, families, b_ops, tol: float = 1e-8) -> bool:
-    """Outcome labels determine the component index: for every reachable
-    outcome pair, the three measured component images are orthogonal."""
-    for j in range(3):
-        after = [np.einsum("by,ay->ab", b_ops[j],
-                           c.amps.reshape(DIM, DIM), optimize=True)
-                 for c in inst.components]
-        for m in families[j]:
-            imgs = [np.einsum("xa,ab->b", m, a) for a in after]
-            norms = [np.linalg.norm(v) for v in imgs]
-            if max(norms) <= 1e-9:
-                continue
-            for l1 in range(3):
-                for l2 in range(l1 + 1, 3):
-                    if norms[l1] > 1e-9 and norms[l2] > 1e-9:
-                        ov = abs(np.vdot(imgs[l1], imgs[l2]))
-                        if ov / (norms[l1] * norms[l2]) > tol:
-                            return False
-    return True
+    checks = dict.fromkeys(("receiver_completeness", "sender_completeness",
+                            "branches_maximally_entangled",
+                            "total_probability"), False)
+    resolved = {1: 3, 2: 3}
+    report = {"checks": checks, "resolved_shift": resolved,
+              "total_probability": None, "cost_ebits": 0.0,
+              "discrimination": False, "pass": False}
+    try:
+        after_b = _run([Round("B", {(): receiver_measurement()})], inst.psi)
+        checks["receiver_completeness"] = True
+        for b in [] if literal else after_b[1:]:
+            resolved[b.outcomes[0]] = next((p for p in (3, 6) if _rank_three(
+                _reference_grams(_run([Round("A", {(): sender_measurement(
+                    inst.gamma2, p)})], b.state)))), None)
+        # an unresolved outcome keeps the shift 3 family
+        branches = simulate(two_way_protocol(
+            inst.gamma2, {j: p or 3 for j, p in resolved.items()}, literal),
+            inst.psi)
+    except CompletenessError:
+        return report
+    total = sum(b.prob for b in branches)
+    grams = _reference_grams(branches)
+    # component l's image M B c_l has squared norm 3 p G_ll; the images
+    # that reach a branch must be pairwise orthogonal
+    diag = np.einsum("bii->bi", grams).real
+    seen = 3 * np.array([b.prob for b in branches])[:, None] * diag > 1e-18
+    pairs = seen[:, :, None] & seen[:, None, :] & ~np.eye(3, dtype=bool)
+    cos = np.abs(grams) / np.sqrt(np.maximum(
+        diag[:, :, None] * diag[:, None, :], 1e-300))
+    checks.update(sender_completeness=True,
+                  branches_maximally_entangled=_rank_three(grams),
+                  total_probability=bool(abs(total - 1.0) <= 1e-7))
+    report.update({"total_probability": float(total),
+                   "discrimination": not bool(np.any(cos[pairs] > _TOL)),
+                   "pass": all(checks.values())})
+    return report
 
 
 def entropy_monotonicity_trial(psi: Ket, seed: int = 0, n_outcomes: int = 2):
     """One random receiver-instrument trial: returns the conditional entropy
     of the sender given the receiver before, and its average after the
-    instrument with sender-side isometry corrections."""
+    instrument with sender-side unitary corrections, simulated as a
+    two-round protocol."""
     if psi.nsys != 3:
         raise ValueError("expected a tripartite state")
     rng = np.random.default_rng(seed)
-    dr, da, db = psi.dims
+    _, da, db = psi.dims
     gs = [rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
           for _ in range(n_outcomes)]
     norm = sum(g.conj().T @ g for g in gs)
     ev, vec = np.linalg.eigh(norm)
     inv_sqrt = (vec * (1.0 / np.sqrt(np.clip(ev, 1e-12, None)))) @ vec.conj().T
-    ms = [g @ inv_sqrt for g in gs]
-    from .qcore import Bipartition, conditional_entropy, random_unitary
-
-    rho_ab = reduced_state(psi, [1, 2])
-    lhs = conditional_entropy(rho_ab, Bipartition([0], [1]))
-    rhs = 0.0
-    t = psi.tensor()
-    for m in ms:
-        u = random_unitary(da, rng)
-        amp = np.einsum("xa,by,Ray->Rxb", u, m, t, optimize=True)
-        p = float(np.linalg.norm(amp) ** 2)
-        if p < 1e-12:
-            continue
-        post = Ket(amp.reshape(-1) / np.sqrt(p), psi.dims, normalized=False)
-        rho_j = reduced_state(post, [1, 2])
-        rhs += p * conditional_entropy(rho_j, Bipartition([0], [1]))
+    receiver = [ProtocolOp(g @ inv_sqrt, (db,), (db,)) for g in gs]
+    sender = {(j,): [ProtocolOp(random_unitary(da, rng), (da,), (da,))]
+              for j in range(n_outcomes)}
+    cut = Bipartition([0], [1])
+    lhs = conditional_entropy(reduced_state(psi, [1, 2]), cut)
+    rhs = sum(b.prob * conditional_entropy(reduced_state(b.state, [1, 2]), cut)
+              for b in _run([Round("B", {(): receiver}), Round("A", sender)],
+                            psi))
     return float(lhs), float(rhs)

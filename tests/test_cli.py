@@ -140,6 +140,49 @@ def test_twoway_cli(capsys):
     assert not rep["checks"]["two_way_sender_completeness"]
 
 
+# stdout of ``mergekit twoway verify``; it carries no gamma-dependent value
+# that differs between the default gammas and (exp(0.7i), exp(2.1i))
+_TWOWAY_STDOUT = (
+    '{"checks": {"one_way_exact_at_one_ebit": true, '
+    '"two_way_branches_maximally_entangled": true, '
+    '"two_way_receiver_completeness": true, '
+    '"two_way_sender_completeness": true, "two_way_total_probability": '
+    'true}, "command": "twoway", "inputs": {}, "provenance": '
+    '"one-shot-communication-separation", "results": '
+    '{"generic_block_cost": 1.584962500721156, "one_way": {"branches": '
+    '48, "computed_partition_dims": [[1, 2], [3, 1], [3, 1], [3, 1]], '
+    '"computed_partition_matches_weights": true, '
+    '"computed_partition_probs": [0.181818182, 0.272727273, '
+    '0.272727273, 0.272727273], "cost_ebits": 1.0, "pass": true, '
+    '"protocol_block_dims_right": [2, 3, 3, 3], '
+    '"protocol_block_probs": [0.18181818181818182, 0.2727272727272727, '
+    '0.2727272727272727, 0.2727272727272727], "resource_rank": 2, '
+    '"returned_rank": 1, "structure_ok": true, "worst_infidelity": '
+    '4.440892098500626e-16}, "two_way": {"checks": '
+    '{"branches_maximally_entangled": true, "receiver_completeness": '
+    'true, "sender_completeness": true, "total_probability": true}, '
+    '"cost_ebits": 0.0, "discrimination": true, "pass": true, '
+    '"resolved_shift": {"1": 6, "2": 3}, "total_probability": '
+    '1.0000000000000002}}, "schema": "mergekit-report/1", "seed": 0}\n')
+
+
+def test_twoway_cli_golden_stdout(capsys):
+    for extra in ([], ["--gamma1", "0.7648421872844885,0.644217687237691",
+                       "--gamma2=-0.5048461045998576,0.8632093666488737"]):
+        code, out, _ = _run(["twoway", "verify"] + extra, capsys)
+        assert code == 0
+        assert out == _TWOWAY_STDOUT
+
+
+def test_twoway_cli_rejects_non_finite_gammas(capsys):
+    for flag, value in [("--gamma1", "nan,nan"), ("--gamma2", "inf,0"),
+                        ("--gamma1", "0.5,nan")]:
+        code, out, err = _run(["twoway", "verify", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} must be finite" in err
+
+
 def test_net_cli(tmp_path, capsys):
     from mergekit.netcost import star_isometry, star_tree
 

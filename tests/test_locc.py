@@ -503,15 +503,10 @@ def _simulator_cases():
     psi = Ket(t.reshape(-1), (2, 4, 2))
     merge = merge_protocol(psi, "catalytic")
     cases.append((merge.locc(), merge.input_state(psi)))
-    # receiver measures first, the sender's family is conditioned on it
+    # receiver measures first, the sender's family is conditioned on it:
+    # the zero-ebit protocol with the shifts the two-way check resolves
     inst = twoway.default_instance()
-    b_round = [ProtocolOp(m, (twoway.DIM,), (twoway.DIM,))
-               for m in twoway.receiver_measurement()]
-    a_round = {(j,): [ProtocolOp(m, (twoway.DIM,), (1,))
-                      for m in twoway.sender_measurement(inst.gamma2, 3 * j)]
-               for j in range(3)}
-    cases.append((LoccProtocol({"A": (1,), "B": (2,)},
-                               [Round("B", {(): b_round}), Round("A", a_round)]),
+    cases.append((twoway.two_way_protocol(inst.gamma2, {1: 6, 2: 3}),
                   inst.psi))
     # mixed output shapes in one instrument, held on a middle slot
     h = np.sqrt(0.5)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mergekit import msize, qcore
+from mergekit.locc import (LoccProtocol, ProtocolOp, Round, branch_fidelities,
+                           simulate)
 from mergekit.msize import (
     CONFIG_D0,
     CONFIG_D1,
@@ -372,6 +374,49 @@ def test_mbqc_branches_match_per_branch_reference():
         rep = mbqc_prepare(circ, alphas)
         assert rep["pass"]
         assert abs(rep["total_probability"] - ref_probs.sum()) < 1e-12
+
+
+def _mbqc_protocol(circ, alphas):
+    """``mbqc_prepare``'s preparation as an explicit protocol: party ``p``
+    holds target ``p`` and the auxiliary of gate ``p``; one round per gate
+    measures its rotated auxiliary, then one round per target party applies
+    Z to the power of the outcomes of its gates, keyed by all outcomes (the
+    earlier corrections, single-operator rounds, add outcome 0 each)."""
+    n_t, n_a = circ.n_qubits, circ.n_gates
+    parties = {p: (p - 1,) * (p <= n_t) + (n_t + p - 1,) * (p <= n_a)
+               for p in range(1, max(n_t, n_a) + 1)}
+    rounds = []
+    for k, a in enumerate(alphas):
+        keep = 2 if k < n_t else 1          # the party's target, if any
+        rot = np.array([[np.cos(a), 1j * np.sin(a)],
+                        [1j * np.sin(a), np.cos(a)]])
+        rounds.append(Round(k + 1, {(): [
+            ProtocolOp(np.kron(np.eye(keep), rot[o:o + 1]), (keep, 2),
+                       (keep,)) for o in (0, 1)]}))
+    z = np.diag([1.0, -1.0])
+    for p in range(1, n_t + 1):
+        gates = [k for k, g in enumerate(circ.gates) if p in g]
+        rounds.append(Round(p, {
+            o + (0,) * (p - 1): [ProtocolOp(np.linalg.matrix_power(
+                z, sum(o[k] for k in gates)), (2,), (2,))]
+            for o in itertools.product((0, 1), repeat=n_a)}))
+    return LoccProtocol(parties, rounds)
+
+
+def test_mbqc_preparation_through_simulator():
+    # the exhaustive simulator as the oracle for the vectorised branches
+    for circ, alphas in [(default_circuit(), [np.pi / 4] * 7),
+                         (CircuitSpec(2, [(1, 2)]), [0.7])]:
+        branches = simulate(_mbqc_protocol(circ, alphas),
+                            resource_graph_state(circ)[1])
+        probs, infid = _mbqc_branches(circ, alphas)
+        assert [b.outcomes[:circ.n_gates] for b in branches] == list(
+            itertools.product((0, 1), repeat=circ.n_gates))
+        assert all(b.state.dims == (2,) * circ.n_qubits for b in branches)
+        got = 1.0 - branch_fidelities([b.state.amps for b in branches],
+                                      circuit_state(circ, alphas).amps)
+        assert np.max(np.abs([b.prob for b in branches] - probs)) < 1e-12
+        assert np.max(np.abs(got - infid)) < 1e-12
 
 
 def test_mbqc_worst_branch_is_first_maximum():

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from mergekit import states
+from mergekit.cli import run
+from mergekit.locc import CompletenessError, simulate
 from mergekit.qcore import Ket, random_ket, reduced_state
 from mergekit.twoway import (
     build_instance,
@@ -9,6 +13,7 @@ from mergekit.twoway import (
     entropy_monotonicity_trial,
     generic_one_way_cost,
     sender_vectors,
+    two_way_protocol,
     verify_one_way,
     verify_two_way,
 )
@@ -26,6 +31,16 @@ def test_build_instance_validation():
         build_instance(g1, 1j * g1 * g1)                   # excluded value
     with pytest.raises(ValueError):
         build_instance(g1, -1j * g1 * g1)
+
+
+def test_build_instance_rejects_non_finite_gammas():
+    g = np.exp(1j * np.pi / 3)
+    for bad in (complex(np.nan, np.nan), complex(0.5, np.nan),
+                complex(np.inf, 0.0), complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="gamma1 must be finite"):
+            build_instance(bad, g)
+        with pytest.raises(ValueError, match="gamma2 must be finite"):
+            build_instance(g, bad)
 
 
 def test_components_orthonormal_on_constraint_manifold():
@@ -84,13 +99,49 @@ def test_two_way_verification():
     assert abs(rep["total_probability"] - 1.0) < 1e-7
     assert rep["discrimination"]
     assert set(rep["resolved_shift"].values()) == {3, 6}
+    assert rep["resolved_shift"] == {1: 6, 2: 3}
 
 
-def test_two_way_literal_conditioning_fails_completeness():
+def test_two_way_protocol_branches_from_simulator():
+    # the protocol the two-way check certifies, run on its own: every
+    # branch carries the reference-cut amplitudes of a rank-three pair
+    inst = default_instance()
+    branches = simulate(two_way_protocol(inst.gamma2, {1: 6, 2: 3}), inst.psi)
+    assert abs(sum(b.prob for b in branches) - 1.0) < 1e-12
+    for b in branches:
+        amps = b.state.amps.reshape(3, 11)
+        assert np.allclose(amps @ amps.conj().T, np.eye(3) / 3, atol=1e-10)
+    # the other shift assignment leaves some branch short of rank three
+    swapped = simulate(two_way_protocol(inst.gamma2, {1: 3, 2: 6}), inst.psi)
+    grams = [b.state.amps.reshape(3, 11) @ b.state.amps.reshape(3, 11).conj().T
+             for b in swapped]
+    assert not all(np.allclose(g, np.eye(3) / 3, atol=1e-8) for g in grams)
+
+
+def test_literal_protocol_refused_by_simulator():
+    inst = default_instance()
+    with pytest.raises(CompletenessError):
+        simulate(two_way_protocol(inst.gamma2, {1: 3, 2: 3}, literal=True),
+                 inst.psi)
+
+
+def test_two_way_literal_conditioning_fails_completeness(capsys):
     inst = default_instance()
     rep = verify_two_way(inst, literal=True)
     assert not rep["checks"]["sender_completeness"]
     assert not rep["pass"]
+    # the simulator refuses the incomplete family: the branch checks are
+    # not run, so they read false and no total probability is reported
+    assert rep["checks"]["receiver_completeness"] is True
+    assert rep["checks"]["branches_maximally_entangled"] is False
+    assert rep["checks"]["total_probability"] is False
+    assert rep["total_probability"] is None
+    assert rep["discrimination"] is False
+    assert run(["twoway", "verify", "--literal"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["two_way"]["total_probability"] is None
+    assert [k for k, v in out["checks"].items() if v is True] == [
+        "one_way_exact_at_one_ebit", "two_way_receiver_completeness"]
 
 
 def test_two_way_other_gammas():
