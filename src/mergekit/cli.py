@@ -97,9 +97,15 @@ def _regroup(ket: Ket, groups) -> Ket:
     return Ket(merged.amps, dims)
 
 
-def _parse_complex(text):
-    re_, im_ = text.split(",")
-    return complex(float(re_), float(im_))
+def _parse_complex(text, option):
+    parts = text.split(",")
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise ValueError(f"--{option} expects re,im (two numbers), "
+                         f"got {text!r}") from None
 
 
 def cmd_example(args, seed):
@@ -239,8 +245,10 @@ def cmd_simulate(args, seed):
 
 
 def cmd_twoway(args, seed):
-    g1 = _parse_complex(args.gamma1) if args.gamma1 else np.exp(1j * np.pi / 4)
-    g2 = _parse_complex(args.gamma2) if args.gamma2 else np.exp(1j * np.pi / 3)
+    g1 = (_parse_complex(args.gamma1, "gamma1") if args.gamma1
+          else np.exp(1j * np.pi / 4))
+    g2 = (_parse_complex(args.gamma2, "gamma2") if args.gamma2
+          else np.exp(1j * np.pi / 3))
     inst = twoway.build_instance(g1, g2)
     one = twoway.verify_one_way(inst, seed=seed)
     two = twoway.verify_two_way(inst, literal=args.literal)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Bipartition, Ket, StateError, singular_rank
+from .qcore import (Bipartition, Ket, StateError, singular_rank,
+                    unitary_from_ginibre)
 
 
 @dataclass(frozen=True)
@@ -148,27 +149,40 @@ def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
 
 def _mbqc_branches(circ: CircuitSpec, alphas):
     """Probability and infidelity of every correction branch, in outcome
-    order (auxiliary 0 is the most significant outcome bit)."""
-    _, ket = resource_graph_state(circ)
+    order (auxiliary 0 is the most significant outcome bit).
+
+    The resource graph has no target-target edge, and auxiliary ``k``
+    touches exactly the targets ``(i, j)`` of gate ``k``.  Its amplitude at
+    target bits ``x`` and auxiliary bits ``y`` is therefore
+    ``2^{-n/2} prod_k (-1)^{y_k s_k(x)}`` with ``s_k(x) = x_i XOR x_j``.
+    Rotating auxiliary ``k`` by ``R_k``, keeping outcome ``o_k`` and
+    applying the correction ``(Z_i Z_j)^{o_k}`` leaves branch ``o`` with
+    the target amplitudes
+
+        2^{-n/2} prod_k f_k[o_k, s_k(x)],
+        f_k[o, s] = (R_k[o, 0] + R_k[o, 1] (-1)^s) (-1)^{o s},
+
+    one 2x2 table per gate.  The (targets, outcomes) branch matrix is their
+    outer product over the outcome bits.  The premise is checked on the
+    adjacency of the verified resource graph."""
+    graph, _ = resource_graph_state(circ)
     target = circuit_state(circ, alphas)
     n_t, n_a = circ.n_qubits, circ.n_gates
-    # the auxiliary rotations do not depend on the outcomes: apply them all,
-    # then column o of the (targets, auxiliaries) matrix is branch o before
-    # its corrections
-    t = ket.tensor()
-    for k, alpha in enumerate(alphas):
+    if graph.adjacency[:n_t, :n_t].any() or any(
+            set(graph.neighbors(n_t + k)) != {i - 1, j - 1}
+            for k, (i, j) in enumerate(circ.gates)):
+        raise RuntimeError("resource graph is not one auxiliary per gate "
+                           "wired to the gate's two targets")
+    x = np.arange(2 ** n_t)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0]])     # (-1)^{a b}
+    branches = np.full((2 ** n_t, 1), 2.0 ** (-(n_t + n_a) / 2), dtype=complex)
+    for (i, j), alpha in zip(circ.gates, alphas):
         rot = np.array([[np.cos(alpha), 1j * np.sin(alpha)],
                         [1j * np.sin(alpha), np.cos(alpha)]])
-        t = np.moveaxis(np.tensordot(rot, t, axes=([1], [n_t + k])), 0,
-                        n_t + k)
-    branches = t.reshape(2 ** n_t, 2 ** n_a)
-    idx_t = np.arange(2 ** n_t)[:, None]
-    idx_a = np.arange(2 ** n_a)[None, :]
-    for k, (i, j) in enumerate(circ.gates):
-        # exact +-1 sign of Z_i Z_j on the targets, applied where o_k = 1
-        flip = (((idx_t >> (n_t - i)) ^ (idx_t >> (n_t - j)))
-                & (idx_a >> (n_a - 1 - k)) & 1)
-        branches = branches * (1 - 2.0 * flip)
+        f = (rot @ signs) * signs
+        s = ((x >> (n_t - i)) ^ (x >> (n_t - j))) & 1
+        branches = (branches[:, :, None] * f.T[s][:, None, :]).reshape(
+            2 ** n_t, -1)
     probs = np.einsum("ij,ij->j", branches.conj(), branches).real
     overlaps = target.amps.conj() @ branches
     return probs, 1.0 - np.abs(overlaps) ** 2 / np.maximum(probs, 1e-300)
@@ -453,6 +467,21 @@ class ScheduleError(ValueError):
 AUDIT_STACK_AMPS = 1 << 14   # amplitudes of pending post-step states
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(d):
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_orders(n, pos):
+    """Axis order bringing the slots ``pos`` to the front of an ``n``-slot
+    state, and its inverse."""
+    order = pos + tuple(i for i in range(n) if i not in pos)
+    return order, tuple(np.argsort(order).tolist())
+
+
 class DynamicSimulator:
     """Slot-level simulator for the dynamic setting: local unitaries and
     projective measurements within a party, plus single-qubit sends whose
@@ -480,6 +509,7 @@ class DynamicSimulator:
         self.config = config
         self.slots = config.slot_list()
         self.n = len(self.slots)
+        self._index = {ps: i for i, ps in enumerate(self.slots)}
         self.state = np.zeros((2,) * self.n, dtype=complex)
         self.state[(0,) * self.n] = 1.0
         self.rng = np.random.default_rng(seed)
@@ -500,8 +530,8 @@ class DynamicSimulator:
 
     def _pos(self, party, slot):
         try:
-            return self.slots.index((int(party), int(slot)))
-        except ValueError:
+            return self._index[(int(party), int(slot))]
+        except KeyError:
             raise ScheduleError(
                 f"party {party} slot {slot} outside the configuration")
 
@@ -573,15 +603,15 @@ class DynamicSimulator:
             mat = np.asarray(step["matrix"], dtype=complex)
             if mat.shape != (2 ** len(pos),) * 2:
                 raise ScheduleError("unitary size mismatch")
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
+            dev = np.max(np.abs(mat.conj().T @ mat - _identity(len(mat))))
             if not dev <= 1e-9:
                 raise ScheduleError(
                     f"step {self.step_count}: matrix is not unitary "
                     f"(max |U^dag U - 1| = {dev:.3g})")
-            order = pos + [i for i in range(self.n) if i not in pos]
+            order, inverse = _axis_orders(self.n, tuple(pos))
             t = self.state.transpose(order)
             t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
-            self.state = t.transpose(np.argsort(order))
+            self.state = t.transpose(inverse)
             touched = ()
         elif op == "measure":
             pos = self._pos(step["party"], step["slot"])
@@ -772,11 +802,13 @@ STEP_KINDS = ("unitary", "unitary", "send", "measure")
 
 
 def random_legal_schedule(config: Configuration, rng, length: int = 20):
-    """Random mixture of local unitaries, measurements, and legal sends."""
-    from .qcore import random_unitary
-
+    """Random mixture of local unitaries, measurements, and legal sends.
+    Each unitary's Ginibre matrix is drawn with its step, as
+    ``qcore.random_unitary`` would draw it; the QR factorisations run once
+    every step is drawn, one stacked call per matrix size."""
     parties = [p for p in sorted(config.slots) if config.slots[p] > 0]
     steps = []
+    ginibre = {}    # matrix size -> [(step, Ginibre matrix)]
     occupied = {(p, s): False for p in parties
                 for s in range(config.slots[p])}
     for _ in range(length):
@@ -787,9 +819,12 @@ def random_legal_schedule(config: Configuration, rng, length: int = 20):
             n_slots = config.slots[p]
             k = int(rng.integers(1, min(2, n_slots) + 1))
             slots = list(rng.choice(n_slots, size=k, replace=False))
-            steps.append({"op": "unitary", "party": p,
-                          "slots": [int(s) for s in slots],
-                          "matrix": random_unitary(2 ** k, rng)})
+            d = 2 ** k
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            step = {"op": "unitary", "party": p,
+                    "slots": [int(s) for s in slots], "matrix": None}
+            steps.append(step)
+            ginibre.setdefault(d, []).append((step, g))
             for s in slots:
                 occupied[(p, int(s))] = True
         elif kind == "measure":
@@ -811,6 +846,10 @@ def random_legal_schedule(config: Configuration, rng, length: int = 20):
             steps.append({"op": "send", "from": src, "to": dst})
             occupied[src] = False
             occupied[dst] = True
+    for pairs in ginibre.values():
+        unitaries = unitary_from_ginibre(np.stack([g for _, g in pairs]))
+        for (step, _), u in zip(pairs, unitaries):
+            step["matrix"] = u
     return steps
 
 

@@ -482,6 +482,14 @@ def random_density(dims, rng, rank=None) -> DensityOp:
 
 
 def random_unitary(d, rng) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return unitary_from_ginibre(
+        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+
+def unitary_from_ginibre(g) -> np.ndarray:
+    """Haar-random unitary from a complex Ginibre matrix, or a stack of
+    them: the Q factor of its QR decomposition, each column times the phase
+    of R's diagonal entry."""
     q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]

@@ -183,6 +183,17 @@ def test_twoway_cli_rejects_non_finite_gammas(capsys):
         assert f"{flag[2:]} must be finite" in err
 
 
+def test_twoway_cli_rejects_malformed_gammas(capsys):
+    for flag, value in [("--gamma1", "1"), ("--gamma1", "1,2,3"),
+                        ("--gamma2", "0.5,abc")]:
+        code, out, err = _run(["twoway", "verify", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert (f"error: {flag} expects re,im (two numbers), "
+                f"got '{value}'") in err
+        assert "unpack" not in err
+
+
 def test_net_cli(tmp_path, capsys):
     from mergekit.netcost import star_isometry, star_tree
 

@@ -358,21 +358,82 @@ def _reference_mbqc_branches(circ, alphas):
     return np.array(probs), np.array(infid)
 
 
+def _tensor_mbqc_branches(circ, alphas):
+    """The branches as the rotated graph-state tensor: rotate every
+    auxiliary axis of the 2^n-amplitude resource tensor, read column o of
+    the (targets, auxiliaries) matrix as branch o, and apply the exact
+    +-1 sign of Z_i Z_j where o_k = 1."""
+    _, ket = resource_graph_state(circ)
+    target = circuit_state(circ, alphas)
+    n_t, n_a = circ.n_qubits, circ.n_gates
+    t = ket.tensor()
+    for k, alpha in enumerate(alphas):
+        rot = np.array([[np.cos(alpha), 1j * np.sin(alpha)],
+                        [1j * np.sin(alpha), np.cos(alpha)]])
+        t = np.moveaxis(np.tensordot(rot, t, axes=([1], [n_t + k])), 0,
+                        n_t + k)
+    branches = t.reshape(2 ** n_t, 2 ** n_a)
+    idx_t = np.arange(2 ** n_t)[:, None]
+    idx_a = np.arange(2 ** n_a)[None, :]
+    for k, (i, j) in enumerate(circ.gates):
+        flip = (((idx_t >> (n_t - i)) ^ (idx_t >> (n_t - j)))
+                & (idx_a >> (n_a - 1 - k)) & 1)
+        branches = branches * (1 - 2.0 * flip)
+    probs = np.einsum("ij,ij->j", branches.conj(), branches).real
+    overlaps = target.amps.conj() @ branches
+    return probs, 1.0 - np.abs(overlaps) ** 2 / np.maximum(probs, 1e-300)
+
+
+def test_mbqc_prepare_never_reads_the_graph_state_tensor(monkeypatch):
+    def no_tensor(self):
+        raise AssertionError("graph-state tensor read")
+
+    monkeypatch.setattr(qcore.Ket, "tensor", no_tensor)
+    for circ in (default_circuit(), CircuitSpec(5, [(1, 5), (4, 2)])):
+        assert mbqc_prepare(circ, [0.3] * circ.n_gates)["pass"]
+
+
+def test_mbqc_branches_reject_a_non_factoring_graph(monkeypatch):
+    circ = CircuitSpec(3, [(1, 2), (2, 3)])
+    graph, ket = resource_graph_state(circ)
+    target_edge = graph.adjacency.copy()
+    target_edge[0, 2] = target_edge[2, 0] = True
+    wrong_target = graph.adjacency.copy()
+    wrong_target[3, 1] = wrong_target[1, 3] = False
+    wrong_target[3, 2] = wrong_target[2, 3] = True
+    for adj in (target_edge, wrong_target):
+        patched = msize.GraphState(adjacency=adj, roles=graph.roles)
+        monkeypatch.setattr(msize, "resource_graph_state",
+                            lambda c, g=patched: (g, ket))
+        with pytest.raises(RuntimeError, match="one auxiliary per gate"):
+            mbqc_prepare(circ, [0.4, 0.9])
+
+
 def test_mbqc_branches_match_per_branch_reference():
-    cases = [(default_circuit(), [np.pi / 4] * 7),
-             (CircuitSpec(2, [(1, 2)]), [0.7]),
+    # the factored branches against the per-branch preparation and the
+    # rotated graph-state tensor, repeated gate pairs and no gates included
+    cases = [(CircuitSpec(2, [(1, 2)]), [0.7]),
              (CircuitSpec(4, [(1, 3), (2, 4), (3, 2)]), [0.4, 1.9, 2.6])]
-    for seed in (61, 62, 63):
-        cases.append((default_circuit(),
-                      np.random.default_rng(seed).uniform(0, 2 * np.pi, 7)))
+    for n, circ in enumerate([default_circuit(), CircuitSpec(2, [(1, 2)]),
+                              CircuitSpec(4, [(1, 3), (2, 4), (3, 2)]),
+                              CircuitSpec(3, [(1, 2), (1, 2), (2, 3)]),
+                              CircuitSpec(3, [])]):
+        cases.append((circ, [np.pi / 4] * circ.n_gates))
+        for seed in (61, 62):
+            cases.append((circ, np.random.default_rng([seed, n]).uniform(
+                0, 2 * np.pi, circ.n_gates)))
     for circ, alphas in cases:
         probs, infid = _mbqc_branches(circ, list(alphas))
-        ref_probs, ref_infid = _reference_mbqc_branches(circ, list(alphas))
-        assert probs.shape == (2 ** circ.n_gates,)
-        assert np.max(np.abs(probs - ref_probs)) < 1e-12
-        assert np.max(np.abs(infid - ref_infid)) < 1e-12
+        assert probs.shape == infid.shape == (2 ** circ.n_gates,)
+        for oracle in (_reference_mbqc_branches, _tensor_mbqc_branches):
+            ref_probs, ref_infid = oracle(circ, list(alphas))
+            assert np.max(np.abs(probs - ref_probs)) < 1e-12
+            assert np.max(np.abs(infid - ref_infid)) < 1e-12
+        first = int(np.argmax(ref_infid))     # the tensor path's worst
         rep = mbqc_prepare(circ, alphas)
         assert rep["pass"]
+        assert rep["worst_branch"] == tuple(
+            (first >> (circ.n_gates - 1 - k)) & 1 for k in range(circ.n_gates))
         assert abs(rep["total_probability"] - ref_probs.sum()) < 1e-12
 
 
