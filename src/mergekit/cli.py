@@ -37,11 +37,10 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _report(command, inputs, results, checks, provenance, seed):
+def _report(command, inputs, results, checks, provenance):
     return {
         "schema": SCHEMA,
         "command": command,
-        "seed": seed,
         "inputs": {p: _sha256(p) for p in inputs},
         "results": results,
         "checks": checks,
@@ -88,13 +87,14 @@ def _parse_groups(cut_arg, nsys):
     return groups
 
 
-def _regroup(ket: Ket, groups) -> Ket:
-    order = [i for g in groups for i in g]
-    merged = ket.permute(order)
-    dims = []
-    for g in groups:
-        dims.append(int(np.prod([ket.dims[i] for i in g])))
-    return Ket(merged.amps, dims)
+def _load_tripartite(args) -> Ket:
+    """The state file of ``args.state``, its subsystems grouped by
+    ``args.cut`` into (reference, sender, receiver)."""
+    ket = serialize.load_ket(args.state)
+    groups = _parse_groups(args.cut, ket.nsys)
+    merged = ket.permute([i for g in groups for i in g])
+    return Ket(merged.amps,
+               [int(np.prod([ket.dims[i] for i in g])) for g in groups])
 
 
 def _parse_complex(text, option):
@@ -108,7 +108,7 @@ def _parse_complex(text, option):
                          f"got {text!r}") from None
 
 
-def cmd_example(args, seed):
+def cmd_example(args):
     ket = states.generate_example(args.name)
     path = args.output or (args.name.replace(":", "-") + ".json")
     serialize.save_ket(ket, path)
@@ -119,14 +119,12 @@ def cmd_example(args, seed):
         {"path": path, "dims": list(ket.dims)},
         {"round_trip": ok, "normalized": bool(
             abs(np.linalg.norm(ket.amps) - 1) < 1e-9)},
-        "built-in-state-generator", seed)
+        "built-in-state-generator")
 
 
-def cmd_ki(args, seed):
-    ket = serialize.load_ket(args.state)
-    groups = _parse_groups(args.cut, ket.nsys)
-    tri = _regroup(ket, groups)
-    ki = ki_decompose_tripartite(tri, seed=seed)
+def cmd_ki(args):
+    tri = _load_tripartite(args)
+    ki = ki_decompose_tripartite(tri)
     resid = ki.reassembly_residual()
     results = {
         "blocks": [[b.dim_left, b.dim_right, b.prob] for b in ki.blocks],
@@ -138,14 +136,12 @@ def cmd_ki(args, seed):
                                reduced_state(tri, [0, 1]).mat, tri.dims[:2])
     checks = {"maximal": bool(maximal), "reassembly": bool(resid < 1e-8)}
     return _report("ki", [args.state], results, checks,
-                   "block-decomposition-refinement", seed)
+                   "block-decomposition-refinement")
 
 
-def cmd_merge_cost(args, seed):
-    ket = serialize.load_ket(args.state)
-    groups = _parse_groups(args.cut, ket.nsys)
-    tri = _regroup(ket, groups)
-    ki = ki_decompose_tripartite(tri, seed=seed)
+def cmd_merge_cost(args):
+    tri = _load_tripartite(args)
+    ki = ki_decompose_tripartite(tri)
     if args.catalytic:
         rep = merge_cost_catalytic(ki, delta=args.delta)
     else:
@@ -161,14 +157,12 @@ def cmd_merge_cost(args, seed):
     checks = {"cost_ordering": bool(
         rep.catalytic_cost <= rep.non_catalytic_cost + 1e-9)}
     return _report("merge-cost", [args.state], results, checks,
-                   "exact-merge-achievability", seed)
+                   "exact-merge-achievability")
 
 
-def cmd_merge_protocol(args, seed):
-    ket = serialize.load_ket(args.state)
-    groups = _parse_groups(args.cut, ket.nsys)
-    tri = _regroup(ket, groups)
-    proto = merge_protocol(tri, args.setting, seed=seed, delta=args.delta)
+def cmd_merge_protocol(args):
+    tri = _load_tripartite(args)
+    proto = merge_protocol(tri, args.setting, delta=args.delta)
     results = {
         "setting": proto.setting,
         "resource_rank": proto.resource_rank,
@@ -189,13 +183,11 @@ def cmd_merge_protocol(args, seed):
         results["protocol_input_layout"] = (
             "state subsystems first, then the rank-K resource pair")
     return _report("merge-protocol", [args.state], results, checks,
-                   "exact-merge-protocol-synthesis", seed)
+                   "exact-merge-protocol-synthesis")
 
 
-def cmd_split_cost(args, seed):
-    ket = serialize.load_ket(args.state)
-    groups = _parse_groups(args.cut, ket.nsys)
-    tri = _regroup(ket, groups)
+def cmd_split_cost(args):
+    tri = _load_tripartite(args)
     cost = split_min_cost(tri)
     results = {"cost": cost, "rank": int(round(2 ** cost))}
     checks = {}
@@ -209,13 +201,11 @@ def cmd_split_cost(args, seed):
         results["worst_infidelity"] = worst
         checks["all_branches_exact"] = bool(worst < 1e-8)
     return _report("split-cost", [args.state], results, checks,
-                   "exact-split-cost", seed)
+                   "exact-split-cost")
 
 
-def cmd_converse(args, seed):
-    ket = serialize.load_ket(args.state)
-    groups = _parse_groups(args.cut, ket.nsys)
-    tri = _regroup(ket, groups)
+def cmd_converse(args):
+    tri = _load_tripartite(args)
     rep = merge_converse_search(tri, l_max=args.lmax, k_max=args.kmax)
     results = {
         "bound": rep.bound if rep.feasible else None,
@@ -225,10 +215,10 @@ def cmd_converse(args, seed):
     }
     return _report("converse", [args.state], results,
                    {"feasible_within_caps": bool(rep.feasible)},
-                   "merge-converse-majorization", seed)
+                   "merge-converse-majorization")
 
 
-def cmd_simulate(args, seed):
+def cmd_simulate(args):
     proto = serialize.load_protocol(args.protocol)
     ket = serialize.load_ket(args.state)
     branches = simulate(proto, ket)
@@ -241,18 +231,20 @@ def cmd_simulate(args, seed):
     }
     return _report("simulate", [args.protocol, args.state], results,
                    {"probabilities_close": bool(abs(total - 1) < 1e-7)},
-                   "exhaustive-branch-simulation", seed)
+                   "exhaustive-branch-simulation")
 
 
-def cmd_twoway(args, seed):
+def cmd_twoway(args):
     g1 = (_parse_complex(args.gamma1, "gamma1") if args.gamma1
           else np.exp(1j * np.pi / 4))
     g2 = (_parse_complex(args.gamma2, "gamma2") if args.gamma2
           else np.exp(1j * np.pi / 3))
     inst = twoway.build_instance(g1, g2)
-    one = twoway.verify_one_way(inst, seed=seed)
+    one = twoway.verify_one_way(inst)
     two = twoway.verify_two_way(inst, literal=args.literal)
     results = {
+        "gamma1": [inst.gamma1.real, inst.gamma1.imag],
+        "gamma2": [inst.gamma2.real, inst.gamma2.imag],
         "one_way": one,
         "two_way": two,
         "generic_block_cost": twoway.generic_one_way_cost(inst),
@@ -266,10 +258,10 @@ def cmd_twoway(args, seed):
         "two_way_total_probability": two["checks"]["total_probability"],
     }
     return _report("twoway", [], results, checks,
-                   "one-shot-communication-separation", seed)
+                   "one-shot-communication-separation")
 
 
-def cmd_net(args, seed):
+def cmd_net(args):
     tree = serialize.load_tree(args.tree)
     results = {}
     checks = {}
@@ -292,7 +284,7 @@ def cmd_net(args, seed):
                 results["worst_infidelity"] = rep["worst_infidelity"]
                 checks["all_branches_exact"] = rep["pass"]
         else:
-            rep = netcost.concentrating_simulate(tree, iso, seed=seed)
+            rep = netcost.concentrating_simulate(tree, iso)
             results["edge_costs"] = [
                 {"edge": list(e.edge), "rank": e.rank, "log2": e.log2}
                 for e in rep["edge_costs"]]
@@ -301,7 +293,7 @@ def cmd_net(args, seed):
             checks["all_branches_exact"] = rep["pass"]
     return _report(f"net-{args.action}", [args.tree] + (
         [args.code] if args.code else []), results, checks,
-        "network-edge-entanglement-costs", seed)
+        "network-edge-entanglement-costs")
 
 
 def _parse_angle(text):
@@ -312,7 +304,7 @@ def _parse_angle(text):
     return float(text)
 
 
-def cmd_msize(args, seed):
+def cmd_msize(args):
     if args.action == "scan":
         circ = (serialize.load_circuit(args.circuit) if args.circuit
                 else msize.default_circuit())
@@ -325,7 +317,7 @@ def cmd_msize(args, seed):
         return _report("msize-scan",
                        [args.circuit] if args.circuit else [], rep,
                        {"scan_complete": True},
-                       "exact-layout-rank-scan", seed)
+                       "exact-layout-rank-scan")
     if args.action == "prepare":
         circ = (serialize.load_circuit(args.circuit) if args.circuit
                 else msize.default_circuit())
@@ -335,16 +327,16 @@ def cmd_msize(args, seed):
                        [args.circuit] if args.circuit else [],
                        {k: v for k, v in rep.items() if k != "pass"},
                        {"all_branches_exact": rep["pass"]},
-                       "measurement-based-preparation", seed)
+                       "measurement-based-preparation")
     if args.action == "bound":
         rep = msize.bipartite_bound_check(args.m, args.D)
         return _report("msize-bound", [], rep,
                        {"meets_bound": rep["meets_bound"],
                         "symmetric_feasible": rep["symmetric_feasible"]},
-                       "pairwise-resource-dimension-bound", seed)
+                       "pairwise-resource-dimension-bound")
     if args.action == "dynamic":
         config, steps = serialize.load_schedule(args.schedule)
-        out = msize.dynamic_simulate(config, steps, seed=seed)
+        out = msize.dynamic_simulate(config, steps, seed=args.seed)
         results = {
             "final_norm": float(np.linalg.norm(out["state"].amps)),
             "rank_to_party": out["rank_to_party"],
@@ -356,7 +348,7 @@ def cmd_msize(args, seed):
         return _report("msize-dynamic", [args.schedule], results,
                        {"norm_preserved": bool(
                            abs(results["final_norm"] - 1) < 1e-8)},
-                       "configuration-limited-dynamics", seed)
+                       "configuration-limited-dynamics")
     raise ValueError(f"unknown msize action {args.action}")
 
 
@@ -449,11 +441,12 @@ def run(argv) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        report = args.func(args, args.seed)
+        report = args.func(args)
     except (StateError, InfeasibleError, CompletenessError, MaximalityError,
             ValueError, OSError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    report["seed"] = args.seed
     return _emit(report)
 
 

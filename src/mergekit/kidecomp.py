@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .qcore import Ket, _rank_above, reduced_state
 PROP_TOL = 1e-8       # relative Frobenius tolerance for proportionality
 EIG_TOL = 1e-9        # eigenvalues in (-tol, tol] go to the non-positive side
 SUPP_TOL = 1e-9       # relative support threshold
-N_RANDOM_CANDIDATES = 16
 
 
 class MaximalityError(RuntimeError):
@@ -86,18 +84,14 @@ NO_REFINEMENT = NoRefinement()
 
 
 @lru_cache(maxsize=None)
-def steering_family(dim_r: int, n_random: int = N_RANDOM_CANDIDATES,
-                    seed: int = 0) -> np.ndarray:
-    """Positive semidefinite reference operators spanning all steering
-    directions (identity, rank-one pair combinations, seeded ``g g^dag``),
+def steering_family(dim_r: int) -> np.ndarray:
+    """Positive semidefinite reference operators spanning all operators on
+    the reference (identity, then ``|v><v|`` for every structured vector),
     as one read-only stack of shape (n_ops, dim_r, dim_r), cached."""
     vecs = _structured_vectors(dim_r)
-    g = np.random.default_rng(seed).normal(size=(n_random, 2, dim_r, dim_r))
-    g = g[:, 0] + 1j * g[:, 1]
     return _frozen(np.concatenate([
         np.eye(dim_r, dtype=complex)[None],
-        vecs[:, :, None] * vecs[:, None, :].conj(),
-        g @ g.conj().transpose(0, 2, 1)]))
+        vecs[:, :, None] * vecs[:, None, :].conj()]))
 
 
 def _structured_vectors(dim):
@@ -116,27 +110,17 @@ def steered_states(psi_ra: np.ndarray, dims, family):
     return (m + m.conj().transpose(0, 2, 1)) / 2
 
 
-def _vector_candidates(dim, n_random, rng):
-    """Unit vectors polarizing all sesquilinear forms on a dim-dimensional
-    space, as rows: basis vectors, pair combinations, and random extras.
-    Global phases are irrelevant, so dimension one needs one candidate."""
-    if dim == 1:
-        return np.ones((1, 1), dtype=complex)
-    fixed = _structured_vectors(dim)
-    fixed[dim:] /= np.sqrt(2)
-    v = rng.normal(size=(n_random, 2, dim))
-    v = v[:, 0] + 1j * v[:, 1]
-    # one norm per row keeps the rounding of a per-vector loop
-    norms = np.array([np.linalg.norm(u) for u in v]).reshape(-1, 1)
-    return np.concatenate([fixed, v / norms])
-
-
 @lru_cache(maxsize=None)
-def _candidate_table(max_dim, n_random, seed):
-    """Read-only candidate rows per dimension 1..max_dim, from one stream."""
-    rng = np.random.default_rng(seed + 1)
-    return MappingProxyType({d: _frozen(_vector_candidates(d, n_random, rng))
-                             for d in range(1, max_dim + 1)})
+def _vector_candidates(dim):
+    """Unit vectors polarizing all sesquilinear forms on a dim-dimensional
+    space, as read-only rows: basis vectors, then normalized pair
+    combinations.  Global phases are irrelevant, so dimension one needs one
+    candidate."""
+    if dim == 1:
+        return _frozen(np.ones((1, 1), dtype=complex))
+    vecs = _structured_vectors(dim)
+    vecs[dim:] /= np.sqrt(2)
+    return _frozen(vecs)
 
 
 def _fro(a: np.ndarray) -> np.ndarray:
@@ -193,7 +177,7 @@ def _ranks(m: np.ndarray, tol: float) -> np.ndarray:
     return _rank_above(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def l_decompose_step(partition: KIPartition, steered, candidates_by_dim,
+def l_decompose_step(partition: KIPartition, steered,
                      eig_tol: float = EIG_TOL):
     """Split the left factor of some block by the sign of a normalized
     difference of steered operators; returns the refined partition or
@@ -203,7 +187,7 @@ def l_decompose_step(partition: KIPartition, steered, candidates_by_dim,
     for j0, block in enumerate(partition.blocks):
         if block.dim_left < 2:
             continue
-        vecs = candidates_by_dim[block.dim_right]
+        vecs = _vector_candidates(block.dim_right)
         uc, ut = _polarized(block, vecs)
         for k, x in enumerate(steered):
             rho = (uc @ x @ ut).reshape(len(vecs), -1)
@@ -235,10 +219,16 @@ def l_decompose_step(partition: KIPartition, steered, candidates_by_dim,
     return NO_REFINEMENT
 
 
-def r_combine_step(partition: KIPartition, steered, candidates_by_dim,
+def r_combine_step(partition: KIPartition, steered,
                    supp_tol: float = SUPP_TOL):
     """Combine the right factors of two blocks whose left factors are steered
     coherently; returns the refined partition or ``NO_REFINEMENT``.
+
+    Precondition: ``l_decompose_step`` returns ``NO_REFINEMENT`` on the
+    partition, as it does wherever ``ki_partition`` calls this step.  Then
+    every steered operator's polarized form on a block is proportional to one
+    matrix, so any operator with nonzero weight there meets the full-rank
+    mask.  On other partitions the family may miss a coherent pair.
 
     The support requirement is evaluated against the live part of each left
     factor, so zero-weight directions riding inside a block cannot veto a
@@ -254,7 +244,7 @@ def r_combine_step(partition: KIPartition, steered, candidates_by_dim,
         m = np.einsum("lra,mra->lm", b.grid.conj() @ steered[0], b.grid)
         marg[j, :b.dim_left, :b.dim_left] = (m + m.conj().T) / 2
     live = _ranks(marg, supp_tol)
-    vecs = [candidates_by_dim[b.dim_right] for b in blocks]
+    vecs = [_vector_candidates(b.dim_right) for b in blocks]
     pols = [_polarized(b, v) for b, v in zip(blocks, vecs)]
     full = {}   # (block, steered index) -> candidates at full live rank
 
@@ -340,24 +330,22 @@ def maximality_check(partition: KIPartition, psi_ra: np.ndarray, dims,
     return True
 
 
-def ki_partition(psi_ra: np.ndarray, dims, n_random: int = N_RANDOM_CANDIDATES,
-                 seed: int = 0) -> KIPartition:
+def ki_partition(psi_ra: np.ndarray, dims) -> KIPartition:
     """Compute the maximal partition of the sender support of a bipartite
     state (given as a density matrix on reference x sender)."""
     dr, da = dims
     partition = KIPartition([KIBlock(np.eye(da, dtype=complex)[:, None])], da)
-    steered = steered_states(psi_ra, dims, steering_family(dr, n_random, seed))
+    steered = steered_states(psi_ra, dims, steering_family(dr))
     tr = np.abs(np.trace(steered, axis1=1, axis2=2))
     valid = tr > 1e-12
     steered = steered[_first_kept(
         steered / np.where(valid, tr, 1.0)[:, None, None], valid)]
-    candidates_by_dim = _candidate_table(max(da, 2), n_random, seed)
 
     cap = da * (da + 1) // 2 + 2
     for _ in range(cap):
         for step, name in ((l_decompose_step, "left split"),
                            (r_combine_step, "right combine")):
-            result = step(partition, steered, candidates_by_dim)
+            result = step(partition, steered)
             if not isinstance(result, NoRefinement):
                 break
         else:
@@ -445,8 +433,7 @@ class TripartiteKI:
         ]
 
 
-def ki_decompose_tripartite(psi: Ket, n_random: int = N_RANDOM_CANDIDATES,
-                            seed: int = 0, tol: float = 1e-7) -> TripartiteKI:
+def ki_decompose_tripartite(psi: Ket, tol: float = 1e-7) -> TripartiteKI:
     """Decompose a tripartite pure state on (reference, sender, receiver).
 
     The returned structure carries, per block, the block probability, the
@@ -459,7 +446,7 @@ def ki_decompose_tripartite(psi: Ket, n_random: int = N_RANDOM_CANDIDATES,
         raise ValueError("state must be normalized")
     dr, da, db = psi.dims
     psi_ra = reduced_state(psi, [0, 1]).mat
-    partition = ki_partition(psi_ra, (dr, da), n_random=n_random, seed=seed)
+    partition = ki_partition(psi_ra, (dr, da))
 
     amp = psi.tensor()
     blocks = []

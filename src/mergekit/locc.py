@@ -71,14 +71,9 @@ def op_majorizes(phi, psi, tol: float = 1e-9) -> bool:
         if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(1.0, np.max(np.abs(m))):
             raise ValueError("operators must be Hermitian")
     n = max(a.shape[0], b.shape[0])
-    ea = np.concatenate([np.linalg.eigvalsh(a), np.zeros(n - a.shape[0])])
-    eb = np.concatenate([np.linalg.eigvalsh(b), np.zeros(n - b.shape[0])])
-    ea = np.sort(ea)[::-1]
-    eb = np.sort(eb)[::-1]
-    cx, cy = np.cumsum(ea), np.cumsum(eb)
-    if abs(cx[-1] - cy[-1]) > tol:
-        return False
-    return bool(np.all(cx[:-1] <= cy[:-1] + tol))
+    ea, eb = (np.pad(np.linalg.eigvalsh(m), (0, n - m.shape[0]))
+              for m in (a, b))
+    return majorizes(ea, eb, tol)
 
 
 def nielsen_convertible(phi: Ket, psi: Ket, cut: Bipartition,

@@ -329,7 +329,7 @@ class MergeProtocol:
 
 def merge_protocol(psi: Ket, setting: str = "non-catalytic",
                    ki: TripartiteKI = None, delta: float = 1e-3,
-                   seed: int = 0, sender_only: bool = False) -> MergeProtocol:
+                   sender_only: bool = False) -> MergeProtocol:
     """Build the exact one-way merging protocol for a tripartite pure state.
 
     With ``sender_only`` the receiver corrections are skipped (their effect
@@ -344,7 +344,7 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
     """
     if setting not in ("catalytic", "non-catalytic"):
         raise ValueError("setting must be catalytic or non-catalytic")
-    ki = ki or ki_decompose_tripartite(psi, seed=seed)
+    ki = ki or ki_decompose_tripartite(psi)
     dr, da, db = psi.dims
     if setting == "catalytic":
         report = merge_cost_catalytic(ki, delta=delta)
@@ -525,8 +525,7 @@ def verify_merge_protocol(psi: Ket, proto: MergeProtocol, tol: float = 1e-8):
 
 
 def approx_merge_candidate(psi: Ket, psi_tilde: Ket, eps: float,
-                           delta: float = 1e-3, verify: bool = True,
-                           seed: int = 0):
+                           delta: float = 1e-3, verify: bool = True):
     """Accept the candidate state if it is eps/2-close in fidelity and return
     the candidate's catalytic cost report plus the measured performance of
     the candidate's protocol on the true state."""
@@ -536,12 +535,11 @@ def approx_merge_candidate(psi: Ket, psi_tilde: Ket, eps: float,
     if overlap < 1.0 - (eps / 2.0) ** 2 - 1e-12:
         return {"accepted": False, "overlap": float(overlap),
                 "required": float(1.0 - (eps / 2.0) ** 2)}
-    ki = ki_decompose_tripartite(psi_tilde, seed=seed)
+    ki = ki_decompose_tripartite(psi_tilde)
     report = merge_cost_catalytic(ki, delta=delta)
     out = {"accepted": True, "overlap": float(overlap), "report": report}
     if verify and not report.oversized:
-        proto = merge_protocol(psi_tilde, "catalytic", ki=ki, delta=delta,
-                               seed=seed)
+        proto = merge_protocol(psi_tilde, "catalytic", ki=ki, delta=delta)
         branches = simulate(proto.locc(), proto.input_state(psi))
         fid = np.dot([b.prob for b in branches], branch_fidelities(
             [b.state.amps for b in branches],
@@ -551,7 +549,7 @@ def approx_merge_candidate(psi: Ket, psi_tilde: Ket, eps: float,
     return out
 
 
-def qubit_optimal(psi: Ket, seed: int = 0):
+def qubit_optimal(psi: Ket):
     """Optimal non-catalytic merging for a three-qubit state with maximally
     mixed reference: zero cost iff the receiver marginal is maximally mixed,
     realized by decomposing the induced unital qubit channel into a mixture

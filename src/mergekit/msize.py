@@ -230,13 +230,12 @@ def _gdiv_exact(x, y):
     return (qr, qi)
 
 
-def exact_gauss_rank(rows, early_stop=None) -> int:
+def exact_gauss_rank(rows) -> int:
     """Rank over the Gaussian rationals of an integer-pair matrix, by
     fraction-free elimination; exact, no tolerance."""
     mat = [list(r) for r in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
-    rank = 0
     prev = (1, 0)
     r = 0
     for c in range(n_cols):
@@ -250,8 +249,6 @@ def exact_gauss_rank(rows, early_stop=None) -> int:
         if piv != r:
             mat[r], mat[piv] = mat[piv], mat[r]
         for rr in range(r + 1, n_rows):
-            if mat[rr][c] == (0, 0) and prev == (1, 0):
-                pass
             for cc in range(c + 1, n_cols):
                 num = _gsub(_gmul(mat[r][c], mat[rr][cc]),
                             _gmul(mat[rr][c], mat[r][cc]))
@@ -259,12 +256,9 @@ def exact_gauss_rank(rows, early_stop=None) -> int:
             mat[rr][c] = (0, 0)
         prev = mat[r][c]
         r += 1
-        rank += 1
-        if early_stop is not None and rank >= early_stop:
-            return rank
         if r >= n_rows:
             break
-    return rank
+    return r
 
 
 def exact_schmidt_rank(vec: GaussIntVector, cut: Bipartition) -> int:

@@ -197,7 +197,7 @@ def _verify_split_edge(phi: Ket, n_parties: int, side, rank: int) -> float:
 
 
 def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
-                           seed: int = 0, audit_cuts: bool = False) -> dict:
+                           audit_cuts: bool = False) -> dict:
     """Run the merge recursion from the last party down to the root,
     exhaustively over branches; per-edge cost is the maximum resource rank
     over reached branches.
@@ -229,8 +229,8 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
             d_b = int(np.prod([state.shape[i] for i in b_pos]))
             tri = Ket(np.transpose(state, r_pos + a_pos + b_pos).reshape(-1),
                       (d_r, d_a, d_b))
-            ki = ki_decompose_tripartite(tri, seed=seed)
-            proto = merge_protocol(tri, "non-catalytic", ki=ki, seed=seed,
+            ki = ki_decompose_tripartite(tri)
+            proto = merge_protocol(tri, "non-catalytic", ki=ki,
                                    sender_only=True)
             k_res = proto.resource_rank
             edge_rank[edge] = max(edge_rank[edge], k_res)

@@ -232,7 +232,7 @@ def _coarse_structure_check(inst: SeparationInstance, psi: Ket,
 
 
 def verify_one_way(inst: SeparationInstance, tamper: bool = False,
-                   check_ki: bool = True, seed: int = 0) -> dict:
+                   check_ki: bool = True) -> dict:
     """Build and exhaustively simulate the one-ebit protocol, check the
     coarse block structure it relies on, and cross-check the refined
     partition computed from scratch."""
@@ -266,7 +266,7 @@ def verify_one_way(inst: SeparationInstance, tamper: bool = False,
     if check_ki and not tamper:
         # the refinement procedure reaches a finer partition with the same
         # block count and weights; record it alongside the coarse structure
-        ki = ki_decompose_tripartite(inst.psi, seed=seed)
+        ki = ki_decompose_tripartite(inst.psi)
         report["computed_partition_dims"] = sorted(
             (b.dim_left, b.dim_right) for b in ki.blocks)
         report["computed_partition_probs"] = sorted(

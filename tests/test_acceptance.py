@@ -166,7 +166,7 @@ def test_criterion_06_random_sandwich():
     for trial in range(500):
         dims = [int(rng.integers(2, 5)) for _ in range(3)]
         psi = random_ket(dims, rng)
-        ki = ki_decompose_tripartite(psi, seed=trial)
+        ki = ki_decompose_tripartite(psi)
         rep = merge_cost_catalytic(ki)
         conv = merge_converse_search(psi)
         ok &= conv.feasible

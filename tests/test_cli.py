@@ -140,8 +140,9 @@ def test_twoway_cli(capsys):
     assert not rep["checks"]["two_way_sender_completeness"]
 
 
-# stdout of ``mergekit twoway verify``; it carries no gamma-dependent value
-# that differs between the default gammas and (exp(0.7i), exp(2.1i))
+# stdout of ``mergekit twoway verify``; apart from the two gamma fields that
+# record the instance (GAMMAS below), the default gammas and
+# (exp(0.7i), exp(2.1i)) print the same report
 _TWOWAY_STDOUT = (
     '{"checks": {"one_way_exact_at_one_ebit": true, '
     '"two_way_branches_maximally_entangled": true, '
@@ -149,7 +150,7 @@ _TWOWAY_STDOUT = (
     '"two_way_sender_completeness": true, "two_way_total_probability": '
     'true}, "command": "twoway", "inputs": {}, "provenance": '
     '"one-shot-communication-separation", "results": '
-    '{"generic_block_cost": 1.584962500721156, "one_way": {"branches": '
+    '{GAMMAS"generic_block_cost": 1.584962500721156, "one_way": {"branches": '
     '48, "computed_partition_dims": [[1, 2], [3, 1], [3, 1], [3, 1]], '
     '"computed_partition_matches_weights": true, '
     '"computed_partition_probs": [0.181818182, 0.272727273, '
@@ -167,11 +168,16 @@ _TWOWAY_STDOUT = (
 
 
 def test_twoway_cli_golden_stdout(capsys):
-    for extra in ([], ["--gamma1", "0.7648421872844885,0.644217687237691",
-                       "--gamma2=-0.5048461045998576,0.8632093666488737"]):
+    for extra, gammas in [
+            ([], '"gamma1": [0.7071067811865476, 0.7071067811865475], '
+                 '"gamma2": [0.5000000000000001, 0.8660254037844386], '),
+            (["--gamma1", "0.7648421872844885,0.644217687237691",
+              "--gamma2=-0.5048461045998576,0.8632093666488737"],
+             '"gamma1": [0.7648421872844885, 0.644217687237691], '
+             '"gamma2": [-0.5048461045998576, 0.8632093666488737], ')]:
         code, out, _ = _run(["twoway", "verify"] + extra, capsys)
         assert code == 0
-        assert out == _TWOWAY_STDOUT
+        assert out == _TWOWAY_STDOUT.replace("GAMMAS", gammas)
 
 
 def test_twoway_cli_rejects_non_finite_gammas(capsys):
@@ -301,6 +307,53 @@ def test_seeded_determinism(tmp_path, capsys):
     code2, out2, _ = _run(["--seed", "3", "ki", path], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_stdout_does_not_depend_on_the_seed(tmp_path, capsys):
+    # every subcommand but ``msize dynamic``, whose measurement outcomes are
+    # drawn from the seed, prints the same report at any --seed apart from
+    # the ``seed`` field
+    from mergekit.mergesplit import merge_protocol
+    from mergekit.netcost import line_tree, star_isometry, star_tree
+
+    def path(name):
+        return str(tmp_path / name)
+
+    ghz = states.ghz(3, 2)
+    serialize.save_ket(states.ki_worked_example(), path("ki.json"))
+    serialize.save_ket(ghz, path("ghz.json"))
+    k = merge_protocol(ghz, "non-catalytic").resource_rank
+    serialize.save_ket(ghz.kron(states.max_entangled(k)), path("pair.json"))
+    for name, tree in (("star.json", star_tree()), ("line.json", line_tree(3))):
+        with open(path(name), "w") as f:
+            f.write(json.dumps(serialize.tree_to_dict(tree)))
+    with open(path("code.json"), "w") as f:
+        f.write(json.dumps([serialize.ket_to_dict(c)
+                            for c in star_isometry().code_kets]))
+    state = path("ki.json")
+    commands = [
+        ["example", "ki-example", "-o", path("example.json")],
+        ["ki", state],
+        ["merge-cost", state, "--catalytic"],
+        ["merge-protocol", state, "--simulate"],
+        ["merge-protocol", path("ghz.json"), "--save", path("table.json")],
+        ["split-cost", state, "--simulate"],
+        ["converse", state],
+        ["simulate", path("table.json"), path("pair.json")],
+        ["twoway", "verify"],
+        ["net", "spread", path("star.json"), path("code.json"), "--simulate"],
+        ["net", "concentrate", path("star.json"), path("code.json")],
+        ["net", "construct", path("line.json"), path("ghz.json")],
+        ["msize", "scan"],
+        ["msize", "prepare"],
+        ["msize", "bound"],
+    ]
+    for argv in commands:
+        code0, out0, _ = _run(["--seed", "0"] + argv, capsys)
+        code7, out7, _ = _run(["--seed", "7"] + argv, capsys)
+        assert code0 == code7 == 0, argv
+        assert out0.endswith('"seed": 0}\n'), argv
+        assert out7 == out0[:-len('0}\n')] + '7}\n', argv
 
 
 def test_console_entry_point():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from mergekit.kidecomp import (
     EIG_TOL,
     KIBlock,
     KIPartition,
-    N_RANDOM_CANDIDATES,
     NO_REFINEMENT,
     NoRefinement,
     PROP_TOL,
@@ -19,7 +20,6 @@ from mergekit.kidecomp import (
     steered_states,
     steering_family,
     _apply_combine,
-    _candidate_table,
     _first_kept,
     _vector_candidates,
 )
@@ -28,27 +28,28 @@ from mergekit.qcore import (Ket, random_ket, random_unitary, reduced_state,
 
 RNG = np.random.default_rng(7)
 
+# The reference scan below also draws N_RANDOM seeded ``g g^dag`` steering
+# operators and N_RANDOM random candidate vectors per dimension; matching it
+# shows that the structured families alone make the same decisions.
+N_RANDOM = 16
+
 
 def _trivial_partition(dim_a):
     grid = np.eye(dim_a, dtype=complex).reshape(dim_a, 1, dim_a)
     return KIPartition([KIBlock(grid)], dim_a)
 
 
-def _prepared(psi, seed=0):
+def _steered(psi):
     dr, da = psi.dims[0], psi.dims[1]
     psi_ra = reduced_state(psi, [0, 1]).mat
-    family = steering_family(dr, seed=seed)
-    steered = steered_states(psi_ra, (dr, da), family)
-    rng = np.random.default_rng(seed + 1)
-    cands = {d: _vector_candidates(d, 8, rng) for d in range(1, da + 1)}
-    return psi_ra, steered, cands
+    return steered_states(psi_ra, (dr, da), steering_family(dr))
 
 
 def test_l_step_splits_worked_example():
     psi = states.ki_worked_example()
-    _, steered, cands = _prepared(psi)
+    steered = _steered(psi)
     part = _trivial_partition(6)
-    out = l_decompose_step(part, steered, cands)
+    out = l_decompose_step(part, steered)
     assert not isinstance(out, NoRefinement)
     assert out.refinement_index() > part.refinement_index()
     dims = sorted(b.dim_left for b in out.blocks)
@@ -62,9 +63,7 @@ def test_l_step_no_refinement_on_product():
     part = _trivial_partition(2)
     family = steering_family(2)
     steered = steered_states(rho, (2, 2), family)
-    rng = np.random.default_rng(1)
-    cands = {d: _vector_candidates(d, 8, rng) for d in (1, 2)}
-    assert isinstance(l_decompose_step(part, steered, cands), NoRefinement)
+    assert isinstance(l_decompose_step(part, steered), NoRefinement)
 
 
 def test_l_step_no_refinement_on_maximally_entangled():
@@ -76,26 +75,44 @@ def test_l_step_no_refinement_on_maximally_entangled():
     assert ki.partition_a.block_dims == [(1, 3)]
 
 
+def _left_split_to_the_end(psi):
+    """The partition on which ``l_decompose_step``, run from the trivial
+    one, returns ``NO_REFINEMENT``: where ``ki_partition`` first calls
+    ``r_combine_step``."""
+    steered = _steered(psi)
+    part = _trivial_partition(psi.dims[1])
+    while not isinstance(out := l_decompose_step(part, steered),
+                         NoRefinement):
+        part = out
+    return part, steered
+
+
 def test_r_step_combines_coherent_blocks():
-    # two Bell blocks in coherent superposition combine into one quantum block
+    # (|0>_R |0>_A + ... + |3>_R |3>_A)/2: the four basis directions of A are
+    # steered coherently, so left splits end at four (1, 1) blocks and the
+    # combine step then joins a coherent pair into one quantum block
     v = np.zeros(16, dtype=complex)
-    # state (|0>_R |0>_A + |1>_R |1>_A + |2>_R |2>_A + |3>_R |3>_A)/2 with
-    # A of dimension 4 seen as two 2-dim blocks
     for l in range(4):
         v[l * 4 + l] = 0.5
     psi = Ket(v, (4, 4))
-    rho = np.outer(psi.amps, psi.amps.conj())
-    part = KIPartition([
+    # r_combine_step's precondition fails on two (2, 1) halves of A: the left
+    # step splits them first
+    halves = KIPartition([
         KIBlock(np.eye(4, dtype=complex)[:2].reshape(2, 1, 4)),
         KIBlock(np.eye(4, dtype=complex)[2:].reshape(2, 1, 4)),
     ], 4)
-    family = steering_family(4)
-    steered = steered_states(rho, (4, 4), family)
-    rng = np.random.default_rng(2)
-    cands = {d: _vector_candidates(d, 8, rng) for d in range(1, 5)}
-    out = r_combine_step(part, steered, cands)
-    assert not isinstance(out, NoRefinement)
-    assert out.refinement_index() > part.refinement_index()
+    assert not isinstance(l_decompose_step(halves, _steered(psi)),
+                          NoRefinement)
+    # the worked example combines a pair of dim_left = 2 blocks
+    for state, before, after in [
+            (psi, [(1, 1)] * 4, [(1, 1), (1, 1), (1, 2)]),
+            (states.ki_worked_example(), [(2, 1)] * 3, [(2, 1), (2, 2)])]:
+        part, steered = _left_split_to_the_end(state)
+        assert part.block_dims == before
+        out = r_combine_step(part, steered)
+        assert not isinstance(out, NoRefinement)
+        assert out.block_dims == after
+        assert out.refinement_index() > part.refinement_index()
 
 
 def test_r_step_no_refinement_for_block_diagonal():
@@ -108,9 +125,7 @@ def test_r_step_no_refinement_for_block_diagonal():
     ], 2)
     family = steering_family(2)
     steered = steered_states(psi_ra, (2, 2), family)
-    rng = np.random.default_rng(3)
-    cands = {d: _vector_candidates(d, 8, rng) for d in (1, 2)}
-    assert isinstance(r_combine_step(part, steered, cands), NoRefinement)
+    assert isinstance(r_combine_step(part, steered), NoRefinement)
 
 
 def test_maximality_check_cases():
@@ -143,21 +158,11 @@ def test_ki_ghz_blocks():
         assert ki.reassembly_residual() < 1e-8
 
 
-def test_ki_deterministic_given_seed():
+def test_ki_deterministic():
     psi = states.ki_worked_example()
-    a = ki_decompose_tripartite(psi, seed=5)
-    b = ki_decompose_tripartite(psi, seed=5)
+    a = ki_decompose_tripartite(psi)
+    b = ki_decompose_tripartite(psi)
     assert a.block_summary() == b.block_summary()
-
-
-def test_ki_candidate_order_invariance():
-    psi = states.ki_worked_example()
-    a = ki_decompose_tripartite(psi, seed=0)
-    b = ki_decompose_tripartite(psi, seed=123)
-    dims_a = sorted((x["dim_left"], x["dim_right"]) for x in a.block_summary())
-    dims_b = sorted((x["dim_left"], x["dim_right"]) for x in b.block_summary())
-    assert dims_a == dims_b
-    assert np.allclose(sorted(a.probs), sorted(b.probs), atol=1e-8)
 
 
 def test_ki_local_unitary_covariance():
@@ -234,11 +239,12 @@ def test_ki_block_dims_invariant_under_reference_rotation_ex3():
 
 # ---------------------------------------------------------------------------
 # Reference: ki_partition as a scalar pair-by-pair scan (setup and both
-# refinement steps).  The array code must make the same decisions:
-# identical block dims and grids within 1e-12.
+# refinement steps), random extras included (N_RANDOM above).  The seedless
+# array code must make the same decisions: identical block dims and grids
+# within 1e-12.
 
 
-def _ref_steering_family(dim_r, n_random=N_RANDOM_CANDIDATES, seed=0):
+def _ref_steering_family(dim_r, n_random=N_RANDOM, seed=0):
     ops = [np.eye(dim_r, dtype=complex)]
     for k in range(dim_r):
         e = np.zeros(dim_r, dtype=complex)
@@ -400,7 +406,7 @@ def _ref_dedupe(ops, tol=1e-10):
     return kept
 
 
-def _ref_ki_partition(psi_ra, dims, n_random=N_RANDOM_CANDIDATES, seed=0):
+def _ref_ki_partition(psi_ra, dims, n_random=N_RANDOM, seed=0):
     dr, da = dims
     grid = np.eye(da, dtype=complex).reshape(da, 1, da)
     partition = KIPartition([KIBlock(grid)], da)
@@ -439,7 +445,7 @@ def _as_tripartite(psi):
 def _assert_same_partition(psi):
     dr, da = psi.dims[0], psi.dims[1]
     psi_ra = reduced_state(psi, [0, 1]).mat
-    want = _ref_ki_partition(psi_ra, (dr, da))
+    want = _ref_ki_partition(psi_ra, (dr, da), n_random=N_RANDOM, seed=0)
     got = ki_partition(psi_ra, (dr, da))
     assert got.block_dims == want.block_dims
     for g, w in zip(got.blocks, want.blocks):
@@ -488,26 +494,20 @@ def test_dedupe_keeps_first_of_a_chain():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_candidate_families_match_reference_loops(d):
-    for seed in (0, 7):
-        fam = steering_family(d, N_RANDOM_CANDIDATES, seed)
-        ref = _ref_steering_family(d, N_RANDOM_CANDIDATES, seed)
-        assert fam.shape == (len(ref), d, d)
-        assert np.max(np.abs(fam - np.array(ref))) <= 1e-15
-        assert not fam.flags.writeable
-        got = _vector_candidates(d, 8, np.random.default_rng(seed))
-        want = _ref_vector_candidates(d, 8, np.random.default_rng(seed))
-        assert got.shape == (len(want), d)
-        assert np.max(np.abs(got - np.array(want))) <= 1e-15
-    table = _candidate_table(4, N_RANDOM_CANDIDATES, 0)
-    rng = np.random.default_rng(1)
-    for k in range(1, 5):
-        want = np.array(_ref_vector_candidates(k, N_RANDOM_CANDIDATES, rng))
-        assert np.max(np.abs(table[k] - want)) <= 1e-15
-        assert not table[k].flags.writeable
-    with pytest.raises(ValueError):
-        steering_family(d)[0, 0, 0] = 2.0
-    with pytest.raises(TypeError):
-        table[1] = None
+    fam = steering_family(d)
+    ref = _ref_steering_family(d, n_random=0)
+    assert fam.shape == (len(ref), d, d)
+    assert np.max(np.abs(fam - np.array(ref))) <= 1e-15
+    got = _vector_candidates(d)
+    want = _ref_vector_candidates(d, 0, None)
+    assert got.shape == (len(want), d)
+    assert np.max(np.abs(got - np.array(want))) <= 1e-15
+    # cached per dimension and read-only
+    assert steering_family(d) is fam and _vector_candidates(d) is got
+    for table in (fam, got):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 2.0
 
 
 def _same_result(got, want):
@@ -533,12 +533,14 @@ def test_refinement_steps_match_reference_on_hand_made_partitions():
     for trial in range(6):
         rng = np.random.default_rng([trial, 43])
         rhos.append(reduced_state(random_ket([3, 4, 2], rng), [0, 1]).mat)
-    for rho in rhos:
-        steered = steered_states(rho, (3, 4), steering_family(3))
-        rng = np.random.default_rng(5)
-        cands = {d: _vector_candidates(d, 8, rng) for d in (1, 2, 3, 4)}
-        assert _same_result(l_decompose_step(quantum, steered, cands),
+    # the steps take any steered stack: the structured family's, and the
+    # reference's, which appends N_RANDOM random full-rank operators
+    cands = {d: _ref_vector_candidates(d, 0, None) for d in (1, 2, 3, 4)}
+    families = [steering_family(3), np.array(_ref_steering_family(3))]
+    for rho, family in itertools.product(rhos, families):
+        steered = steered_states(rho, (3, 4), family)
+        assert _same_result(l_decompose_step(quantum, steered),
                             _ref_l_decompose_step(quantum, steered, cands))
         for part in (quantum, halves):
-            assert _same_result(r_combine_step(part, steered, cands),
+            assert _same_result(r_combine_step(part, steered),
                                 _ref_r_combine_step(part, steered, cands))

@@ -411,7 +411,7 @@ def test_sandwich_on_random_states():
     for trial in range(40):
         dims = [int(rng.integers(2, 5)) for _ in range(3)]
         psi = random_ket(dims, rng)
-        ki = ki_decompose_tripartite(psi, seed=trial)
+        ki = ki_decompose_tripartite(psi)
         rep = merge_cost_catalytic(ki)
         conv = merge_converse_search(psi)
         assert conv.feasible
@@ -427,7 +427,7 @@ def test_block_costs_bounded_by_sender_rank():
     rng = np.random.default_rng(123)
     for trial in range(20):
         psi = random_ket([2, 4, 4], rng)
-        ki = ki_decompose_tripartite(psi, seed=trial)
+        ki = ki_decompose_tripartite(psi)
         rank_a = schmidt_rank(psi, Bipartition([1], [0, 2]))
         for blk in ki.blocks:
             lam0 = float(blk.omega_spectrum[0])
