@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -78,9 +79,14 @@ def _parse_groups(cut_arg, nsys):
         if nsys != 3:
             raise ValueError("state is not tripartite; pass --cut")
         return [(0,), (1,), (2,)]
-    groups = []
-    for part in cut_arg.split("|"):
-        groups.append(tuple(int(x) for x in part.split(",") if x != ""))
+    try:
+        groups = [tuple(int(x) for x in part.split(","))
+                  for part in cut_arg.split("|")]
+    except ValueError:
+        raise ValueError(
+            f"--cut {cut_arg!r}: expected groups of one or more "
+            "comma-separated subsystem indices joined by '|', as in "
+            "0|1,2|3") from None
     flat = [i for g in groups for i in g]
     if sorted(flat) != list(range(nsys)):
         raise ValueError(f"cut {cut_arg} does not partition 0..{nsys - 1}")
@@ -297,11 +303,18 @@ def cmd_net(args):
 
 
 def _parse_angle(text):
-    if text.startswith("pi/"):
-        return np.pi / float(text[3:])
-    if text == "pi":
-        return np.pi
-    return float(text)
+    """``pi``, ``pi/x`` or a number of radians; finite, else ValueError."""
+    try:
+        if text.startswith("pi/"):
+            alpha = np.pi / float(text[3:])
+        else:
+            alpha = np.pi if text == "pi" else float(text)
+    except (ValueError, ZeroDivisionError):
+        alpha = math.nan
+    if not math.isfinite(alpha):
+        raise ValueError(f"--alpha expects pi, pi/x or a finite number of "
+                         f"radians, got {text!r}")
+    return alpha
 
 
 def cmd_msize(args):
@@ -335,6 +348,8 @@ def cmd_msize(args):
                         "symmetric_feasible": rep["symmetric_feasible"]},
                        "pairwise-resource-dimension-bound")
     if args.action == "dynamic":
+        if args.schedule is None:
+            raise ValueError("msize dynamic needs a schedule file")
         config, steps = serialize.load_schedule(args.schedule)
         out = msize.dynamic_simulate(config, steps, seed=args.seed)
         results = {

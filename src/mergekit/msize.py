@@ -118,13 +118,18 @@ def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
     """Prepare the circuit state from the resource graph state: rotate each
     auxiliary qubit, measure it, and counter-rotate the gate's targets on
     outcome one.  Enumerates all correction branches and reports the worst
-    infidelity against the direct circuit output (global phase ignored);
-    ``worst_branch`` is the first branch in outcome order that attains it.
-    Party ``p`` holds target qubit ``p`` and the auxiliary qubit of gate
-    ``p`` (1-based); ``config`` counts each party's qubit slots."""
+    infidelity against the direct circuit output (global phase ignored).
+    Every branch is exact, so within ``tol`` the infidelities are rounding
+    noise and ``worst_branch`` is ``None``; above it, ``worst_branch`` (and
+    ``failing_branch``) is the first branch in outcome order that attains
+    the worst.  Party ``p`` holds target qubit ``p`` and the auxiliary
+    qubit of gate ``p`` (1-based); ``config`` counts each party's qubit
+    slots."""
     alphas = list(alphas)
     if len(alphas) != circ.n_gates:
         raise ValueError("one angle per gate required")
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError(f"gate angles must be finite, got {alphas}")
     probs, infid = _mbqc_branches(circ, alphas)
     n_a = circ.n_gates
     o = int(np.argmax(infid))
@@ -136,7 +141,7 @@ def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
     report = {
         "branches": 2 ** n_a,
         "worst_infidelity": worst,
-        "worst_branch": worst_branch,
+        "worst_branch": worst_branch if worst > tol else None,
         "total_probability": total,
         "config": {p: len(slots) for p, slots in party_slots.items()},
         "party_slots": party_slots,
@@ -442,12 +447,45 @@ class Configuration:
             raise ValueError("slot counts must be nonnegative")
         object.__setattr__(self, "slots", slots)
 
-    def slot_list(self):
-        out = []
-        for p in sorted(self.slots):
-            for s in range(self.slots[p]):
-                out.append((p, s))
-        return out
+    @functools.cached_property
+    def layout(self) -> "SlotLayout":
+        """The configuration's slot tables, built on first use."""
+        return SlotLayout(self.slots)
+
+
+class SlotLayout:
+    """Index tables of one configuration, shared by every schedule run
+    under it.
+
+    - ``slots``: the (party, slot) pairs in party order, the state's axes;
+      ``index`` maps a pair to its axis.
+    - ``parties``: the parties with at least one slot.
+    - ``cut_parties``: the parties with slots on both sides of their cut;
+      a cut is named by its place in this tuple, ``all_cuts`` names all.
+    - ``cut_axes``: per cut, the party's dimension and the axis order that
+      puts the rest of the slots first, so a transposed state reshapes to
+      the cut's (rest, party) matrix.
+    - ``send_cuts``: per (sending party, receiving party), the cuts a send
+      can change: both parties' cuts, none within one party."""
+
+    def __init__(self, slots):
+        self.slots = tuple((p, s) for p in sorted(slots)
+                           for s in range(slots[p]))
+        self.n = len(self.slots)
+        self.index = {ps: i for i, ps in enumerate(self.slots)}
+        self.parties = tuple(p for p in sorted(slots) if slots[p])
+        self.cut_parties = tuple(p for p in self.parties
+                                 if slots[p] < self.n)
+        self.all_cuts = tuple(range(len(self.cut_parties)))
+        self.cut_axes = []
+        for p in self.cut_parties:
+            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
+            rest = [i for i in range(self.n) if i not in mine]
+            self.cut_axes.append((2 ** len(mine), tuple(rest + mine)))
+        self.send_cuts = {
+            (a, b): tuple(c for c, p in enumerate(self.cut_parties)
+                          if a != b and p in (a, b))
+            for a in self.parties for b in self.parties}
 
 
 CONFIG_D0 = Configuration({1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1})
@@ -463,7 +501,7 @@ AUDIT_STACK_AMPS = 1 << 14   # amplitudes of pending post-step states
 
 @functools.lru_cache(maxsize=None)
 def _identity(d):
-    eye = np.eye(d)
+    eye = np.eye(d, dtype=complex)
     eye.flags.writeable = False
     return eye
 
@@ -474,6 +512,15 @@ def _axis_orders(n, pos):
     state, and its inverse."""
     order = pos + tuple(i for i in range(n) if i not in pos)
     return order, tuple(np.argsort(order).tolist())
+
+
+def _norm(x):
+    """``np.linalg.norm(x)`` without its argument handling: the same dot
+    products over the same element order (memory order), so the same
+    bits."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 class DynamicSimulator:
@@ -494,16 +541,16 @@ class DynamicSimulator:
     - a ``measure`` may change every cut: a projection at one party can
       lower another party's rank.
 
-    A step that touches a cut records a copy of the post-step state; the
-    ranks of all recorded (state, cut) pairs are computed together when
-    ``audit`` is read, or once the records hold ``AUDIT_STACK_AMPS``
-    amplitudes."""
+    A step that touches a cut keeps its post-step state (no step writes
+    into a state array, so a reference suffices); the ranks of all kept
+    (state, cut) pairs are computed together when ``audit`` is read, or
+    once the kept states hold ``AUDIT_STACK_AMPS`` amplitudes."""
 
     def __init__(self, config: Configuration, seed: int = 0):
         self.config = config
-        self.slots = config.slot_list()
-        self.n = len(self.slots)
-        self._index = {ps: i for i, ps in enumerate(self.slots)}
+        self.layout = config.layout
+        self.slots = list(self.layout.slots)
+        self.n = self.layout.n
         self.state = np.zeros((2,) * self.n, dtype=complex)
         self.state[(0,) * self.n] = 1.0
         self.rng = np.random.default_rng(seed)
@@ -513,49 +560,57 @@ class DynamicSimulator:
         self._computed = 0
         self._carried = 0
         self.step_count = 0
-        # every party cut with slots on both sides:
-        # {party: (party dimension, axis order with the rest first)}
-        self._cuts = {}
-        for p in sorted(config.slots):
-            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
-            if mine and len(mine) < self.n:
-                rest = [i for i in range(self.n) if i not in mine]
-                self._cuts[p] = (2 ** len(mine), rest + mine)
 
     def _pos(self, party, slot):
         try:
-            return self._index[(int(party), int(slot))]
+            return self.layout.index[(int(party), int(slot))]
         except KeyError:
             raise ScheduleError(
                 f"party {party} slot {slot} outside the configuration")
 
+    @property
+    def state(self) -> np.ndarray:
+        """The (2,) * n amplitude tensor, axes in ``slots`` order."""
+        return self._state
+
+    @state.setter
+    def state(self, value):
+        self._state, self._state_norm = value, None
+
+    def _current_norm(self) -> float:
+        """``_norm`` of the state, kept until the state is replaced."""
+        if self._state_norm is None:
+            self._state_norm = _norm(self._state)
+        return self._state_norm
+
     def _check_norm(self):
-        norm = np.linalg.norm(self.state)
+        norm = self._current_norm()
         if abs(norm - 1.0) > 1e-6:
             raise StateError(
                 f"step {self.step_count}: state norm {norm} deviates from 1")
 
     def _ranks(self, states, touched) -> list:
-        """Schmidt rank across the party cuts ``touched[i]`` of each state
-        ``states[i]``: one singular-value call per cut shape over all
-        (state, cut) pairs, each cut a (rest, party) matrix.  A call takes
-        as many cuts as fit in ``AUDIT_STACK_AMPS`` amplitudes, and at
-        least one."""
-        out = [{} for _ in states]
+        """Schmidt rank across the cuts ``touched[i]`` of each state
+        ``states[i]``, as one list per state: one singular-value call per
+        cut dimension over all (state, cut) pairs, each cut a (rest, party)
+        matrix.  A call takes as many cuts as fit in ``AUDIT_STACK_AMPS``
+        amplitudes, and at least one."""
+        out = [[0] * len(cuts) for cuts in touched]
         by_dim = {}
-        for i, parties in enumerate(touched):
-            for p in parties:
-                by_dim.setdefault(self._cuts[p][0], []).append((i, p))
-        per_call = max(1, AUDIT_STACK_AMPS // self.state.size)
+        for i, cuts in enumerate(touched):
+            for j, c in enumerate(cuts):
+                by_dim.setdefault(self.layout.cut_axes[c][0], []).append(
+                    (i, j, self.layout.cut_axes[c][1]))
+        per_call = max(1, AUDIT_STACK_AMPS // 2 ** self.n)
         for dim, pairs in by_dim.items():
-            for c in range(0, len(pairs), per_call):
-                block = pairs[c:c + per_call]
-                mats = np.empty((len(block),) + self.state.shape, complex)
-                for j, (i, p) in enumerate(block):
-                    mats[j] = states[i].transpose(self._cuts[p][1])
+            for a in range(0, len(pairs), per_call):
+                block = pairs[a:a + per_call]
+                mats = np.empty((len(block),) + self._state.shape, complex)
+                for k, (i, _, axes) in enumerate(block):
+                    mats[k] = states[i].transpose(axes)
                 ranks = singular_rank(mats.reshape(len(block), -1, dim))
-                for (i, p), r in zip(block, ranks.tolist()):
-                    out[i][p] = r
+                for (i, j, _), r in zip(block, ranks.tolist()):
+                    out[i][j] = r
                 self._computed += len(block)
         return out
 
@@ -563,13 +618,17 @@ class DynamicSimulator:
         """Audit every step applied since the last flush."""
         if not self._touched:
             return
+        parties = self.layout.cut_parties
         found = iter(self._ranks(self._pending,
-                                 [t for t in self._touched if t]))
+                                 [cuts for cuts in self._touched if cuts]))
         prev = (self._audit[-1] if self._audit
-                else dict.fromkeys(self._cuts, 1))
-        for parties in self._touched:
-            prev = {**prev, **next(found)} if parties else dict(prev)
-            self._carried += len(self._cuts) - len(parties)
+                else dict.fromkeys(parties, 1))
+        for cuts in self._touched:
+            prev = dict(prev)
+            if cuts:
+                for c, r in zip(cuts, next(found)):
+                    prev[parties[c]] = r
+            self._carried += len(parties) - len(cuts)
             self._audit.append(prev)
         self._touched, self._pending = [], []
 
@@ -591,56 +650,59 @@ class DynamicSimulator:
         self.step_count += 1
         op = step["op"]
         if op == "unitary":
-            pos = [self._pos(step["party"], s) for s in step["slots"]]
+            party = step["party"]
+            pos = tuple([self._pos(party, s) for s in step["slots"]])
             if len(set(pos)) != len(pos):
                 raise ScheduleError("repeated slots in a unitary")
             mat = np.asarray(step["matrix"], dtype=complex)
             if mat.shape != (2 ** len(pos),) * 2:
                 raise ScheduleError("unitary size mismatch")
-            dev = np.max(np.abs(mat.conj().T @ mat - _identity(len(mat))))
+            gram = mat.conj().T.dot(mat)
+            gram -= _identity(len(mat))
+            dev = np.maximum.reduce(abs(gram), axis=None)
             if not dev <= 1e-9:
                 raise ScheduleError(
                     f"step {self.step_count}: matrix is not unitary "
                     f"(max |U^dag U - 1| = {dev:.3g})")
-            order, inverse = _axis_orders(self.n, tuple(pos))
-            t = self.state.transpose(order)
+            order, inverse = _axis_orders(self.n, pos)
+            t = self._state.transpose(order)
             t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
             self.state = t.transpose(inverse)
             touched = ()
         elif op == "measure":
-            pos = self._pos(step["party"], step["slot"])
-            t = np.moveaxis(self.state, pos, 0)
-            p0 = float(np.linalg.norm(t[0]) ** 2)
-            total = float(np.linalg.norm(t) ** 2)
+            order, inverse = _axis_orders(
+                self.n, (self._pos(step["party"], step["slot"]),))
+            t = self._state.transpose(order)
+            p0 = float(_norm(t[0]) ** 2)
+            total = float(self._current_norm() ** 2)   # t's memory order
             outcome = 0 if self.rng.random() * total < p0 else 1
-            keep = np.zeros_like(t)
-            keep[outcome] = t[outcome]
-            norm = np.linalg.norm(keep)
-            self.state = np.moveaxis(keep / norm, 0, pos)
-            step = dict(step)
-            step["outcome"] = outcome
-            touched = tuple(self._cuts)
+            keep = t.copy(order="K")     # t's memory layout
+            keep[1 - outcome] = 0
+            keep /= _norm(keep)
+            self.state = keep.transpose(inverse)
+            step = {**step, "outcome": outcome}
+            touched = self.layout.all_cuts
         elif op == "send":
             src = self._pos(*step["from"])
             dst = self._pos(*step["to"])
             if src == dst:
                 raise ScheduleError("send to the same slot")
-            if np.linalg.norm(np.take(self.state, 1, axis=dst)) > 1e-9:
+            order, _ = _axis_orders(self.n, (dst,))
+            if _norm(self._state.transpose(order)[1].ravel()) > 1e-9:
                 raise ScheduleError(
                     f"step {self.step_count}: receiving slot "
                     f"{step['to']} is not initialized")
-            self.state = np.swapaxes(self.state, src, dst)
-            ends = {self.slots[src][0], self.slots[dst][0]}
-            touched = (tuple(p for p in self._cuts if p in ends)
-                       if len(ends) == 2 else ())
+            # a view of the same memory: the kept norm still holds
+            self._state = self._state.swapaxes(src, dst)
+            touched = self.layout.send_cuts[self.slots[src][0],
+                                            self.slots[dst][0]]
         else:
             raise ScheduleError(f"unknown step {op}")
         self._check_norm()
         self._touched.append(touched)
         if touched:
-            # a copy: the audit must see the state as it was after this step
-            self._pending.append(self.state.copy())
-            if len(self._pending) * self.state.size >= AUDIT_STACK_AMPS:
+            self._pending.append(self._state)
+            if len(self._pending) * self._state.size >= AUDIT_STACK_AMPS:
                 self._flush()
         return step
 
@@ -653,7 +715,9 @@ class DynamicSimulator:
             ranks = audit[-1]
         else:
             self._check_norm()
-            ranks = self._ranks([self.state], [tuple(self._cuts)])[0]
+            parties = self.layout.cut_parties
+            ranks = dict(zip(parties, self._ranks(
+                [self._state], [self.layout.all_cuts])[0]))
         if party not in ranks:
             raise ValueError(f"party {party} has no slots on one side of "
                              "its cut")
@@ -758,9 +822,7 @@ def dynamic_simulate(config: Configuration, schedule, seed: int = 0) -> dict:
     executed steps (with measurement outcomes), the audit trail, and how
     many of its ranks were computed or carried over."""
     sim = DynamicSimulator(config, seed=seed)
-    executed = []
-    for step in schedule:
-        executed.append(sim.apply(step))
+    executed = [sim.apply(step) for step in schedule]
     return {
         "state": sim.ket(),
         "slots": list(sim.slots),
@@ -800,49 +862,58 @@ def random_legal_schedule(config: Configuration, rng, length: int = 20):
     Each unitary's Ginibre matrix is drawn with its step, as
     ``qcore.random_unitary`` would draw it; the QR factorisations run once
     every step is drawn, one stacked call per matrix size."""
-    parties = [p for p in sorted(config.slots) if config.slots[p] > 0]
+    lay = config.layout
+    parties = lay.parties
     steps = []
-    ginibre = {}    # matrix size -> [(step, Ginibre matrix)]
-    occupied = {(p, s): False for p in parties
-                for s in range(config.slots[p])}
+    ginibre = {}    # matrix size -> [(step, real and imaginary draws)]
+    occupied = [False] * lay.n      # per slot, in ``lay.slots`` order
     for _ in range(length):
         # indexing by rng.integers draws what rng.choice on the list would
         kind = STEP_KINDS[int(rng.integers(len(STEP_KINDS)))]
         if kind == "unitary":
             p = parties[int(rng.integers(len(parties)))]
             n_slots = config.slots[p]
-            k = int(rng.integers(1, min(2, n_slots) + 1))
-            slots = list(rng.choice(n_slots, size=k, replace=False))
-            d = 2 ** k
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            step = {"op": "unitary", "party": p,
-                    "slots": [int(s) for s in slots], "matrix": None}
+            if n_slots == 1:
+                # rng.integers(1, 2) and rng.choice(1, size=1,
+                # replace=False) would draw nothing
+                slots = [0]
+            else:
+                k = int(rng.integers(1, min(2, n_slots) + 1))
+                slots = [int(s) for s in
+                         rng.choice(n_slots, size=k, replace=False)]
+            d = 2 ** len(slots)
+            step = {"op": "unitary", "party": p, "slots": slots,
+                    "matrix": None}
             steps.append(step)
-            ginibre.setdefault(d, []).append((step, g))
+            # one call draws what two (d, d) calls would, in order
+            ginibre.setdefault(d, []).append(
+                (step, rng.normal(size=(2, d, d))))
+            first = lay.index[(p, 0)]
             for s in slots:
-                occupied[(p, int(s))] = True
+                occupied[first + s] = True
         elif kind == "measure":
-            busy = [ps for ps, v in occupied.items() if v]
+            busy = [ps for ps, v in zip(lay.slots, occupied) if v]
             if not busy:
                 continue
             p, s = busy[int(rng.integers(len(busy)))]
             steps.append({"op": "measure", "party": p, "slot": s})
         else:
-            busy = [ps for ps, v in occupied.items() if v]
-            free = [ps for ps, v in occupied.items() if not v]
-            if not busy or not free:
+            busy = [ps for ps, v in zip(lay.slots, occupied) if v]
+            if not busy or len(busy) == lay.n:
                 continue
             src = busy[int(rng.integers(len(busy)))]
-            dsts = [ps for ps in free if ps[0] != src[0]]
+            dsts = [ps for ps, v in zip(lay.slots, occupied)
+                    if not v and ps[0] != src[0]]
             if not dsts:
                 continue
             dst = dsts[int(rng.integers(len(dsts)))]
             steps.append({"op": "send", "from": src, "to": dst})
-            occupied[src] = False
-            occupied[dst] = True
+            occupied[lay.index[src]] = False
+            occupied[lay.index[dst]] = True
     for pairs in ginibre.values():
-        unitaries = unitary_from_ginibre(np.stack([g for _, g in pairs]))
-        for (step, _), u in zip(pairs, unitaries):
+        draws = np.array([g for _, g in pairs])
+        for (step, _), u in zip(pairs, unitary_from_ginibre(
+                draws[:, 0] + 1j * draws[:, 1])):
             step["matrix"] = u
     return steps
 

@@ -197,7 +197,7 @@ def _rank_above(s: np.ndarray, tol: float):
     """Count of descending singular values above ``tol`` times the largest:
     an int for one spectrum, an array of counts for a stack (n, k)."""
     if s.ndim > 1:
-        return np.count_nonzero(s > tol * s[:, :1], axis=1)
+        return np.add.reduce(s > tol * s[:, :1], axis=1)
     return int(np.count_nonzero(s > tol * s[0])) if s.size else 0
 
 
@@ -491,5 +491,5 @@ def unitary_from_ginibre(g) -> np.ndarray:
     them: the Q factor of its QR decomposition, each column times the phase
     of R's diagonal entry."""
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    diag = r.diagonal(0, -2, -1)
     return q * (diag / np.abs(diag))[..., None, :]

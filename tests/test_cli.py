@@ -85,6 +85,17 @@ def test_ki_with_cut_groups(tmp_path, capsys):
     assert rep["results"]["block_count"] == 2
 
 
+@pytest.mark.parametrize("cut", ["0,1||2", "0||1,2", "0|1|x"])
+def test_ki_rejects_malformed_cut_groups(tmp_path, capsys, cut):
+    # an empty group would be a dimension-1 sender or reference
+    path = str(tmp_path / "g.json")
+    _run(["example", "ghz:3:2", "-o", path], capsys)
+    code, out, err = _run(["ki", path, "--cut", cut], capsys)
+    assert code == 2
+    assert out == ""
+    assert "0|1,2|3" in err
+
+
 def test_split_and_converse(tmp_path, capsys):
     path = str(tmp_path / "g.json")
     _run(["example", "ghz:3:2", "-o", path], capsys)
@@ -258,6 +269,23 @@ def test_msize_prepare_reports_the_prepared_circuit(tmp_path, capsys):
     assert res["config"] == {"1": 2, "2": 1}
     assert res["party_slots"] == {"1": ["target", "aux"], "2": ["target"]}
     assert res["branches"] == 2
+    assert res["worst_branch"] is None      # every branch is exact
+
+
+@pytest.mark.parametrize("alpha", ["pi/0", "nan", "inf", "pi/nan"])
+def test_msize_alpha_must_be_finite(capsys, alpha):
+    for action in ("prepare", "scan"):
+        code, out, err = _run(["msize", action, "--alpha", alpha], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err
+
+
+def test_msize_dynamic_needs_a_schedule(capsys):
+    code, out, err = _run(["msize", "dynamic"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "schedule" in err
 
 
 def test_msize_dynamic_cli(tmp_path, capsys):

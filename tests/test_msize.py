@@ -429,11 +429,9 @@ def test_mbqc_branches_match_per_branch_reference():
             ref_probs, ref_infid = oracle(circ, list(alphas))
             assert np.max(np.abs(probs - ref_probs)) < 1e-12
             assert np.max(np.abs(infid - ref_infid)) < 1e-12
-        first = int(np.argmax(ref_infid))     # the tensor path's worst
         rep = mbqc_prepare(circ, alphas)
         assert rep["pass"]
-        assert rep["worst_branch"] == tuple(
-            (first >> (circ.n_gates - 1 - k)) & 1 for k in range(circ.n_gates))
+        assert rep["worst_branch"] is None     # every branch is exact
         assert abs(rep["total_probability"] - ref_probs.sum()) < 1e-12
 
 
@@ -480,23 +478,229 @@ def test_mbqc_preparation_through_simulator():
         assert np.max(np.abs(got - infid)) < 1e-12
 
 
-def test_mbqc_worst_branch_is_first_maximum():
-    # every infidelity here rounds to zero or below, so a running maximum
-    # that starts at zero would never record a branch
+def test_mbqc_worst_branch_is_first_maximum(monkeypatch):
+    # within tol the infidelities are rounding noise: no branch is named
     for circ, alphas in [(CircuitSpec(2, [(1, 2)]), [0.7]),
                          (CircuitSpec(3, []), []),
                          (default_circuit(), [np.pi / 4] * 7)]:
         rep = mbqc_prepare(circ, alphas)
         _, infid = _mbqc_branches(circ, alphas)
-        first = int(np.argmax(infid))
-        assert rep["worst_branch"] == tuple(
-            (first >> (circ.n_gates - 1 - k)) & 1
-            for k in range(circ.n_gates))
+        assert rep["pass"] and rep["worst_branch"] is None
+        assert "failing_branch" not in rep
         assert rep["worst_infidelity"] == max(0.0, float(infid.max()))
-    assert mbqc_prepare(CircuitSpec(3, []), [])["worst_branch"] == ()
+    # a failing check names the first branch in outcome order with the
+    # largest infidelity, in both fields
+    circ = CircuitSpec(3, [(1, 2), (2, 3)])
+    probs = np.full(4, 0.25)
+    infid = np.array([0.0, 0.3, 0.3, 0.1])
+    monkeypatch.setattr(msize, "_mbqc_branches", lambda c, a: (probs, infid))
+    rep = mbqc_prepare(circ, [0.1, 0.2])
+    assert not rep["pass"]
+    assert rep["worst_infidelity"] == 0.3
+    assert rep["worst_branch"] == rep["failing_branch"] == (0, 1)
 
 
-class _ReferenceSimulator(DynamicSimulator):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mbqc_prepare_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mbqc_prepare(CircuitSpec(2, [(1, 2)]), [bad])
+
+
+class _StepSimulator:
+    """The dynamic simulator as first written with a change-aware audit,
+    kept as the bit-for-bit reference: every slot layout rebuilt per
+    simulator, ``np.moveaxis`` and ``np.linalg.norm`` per measurement,
+    ``np.take`` per send, the unitarity check against a float identity,
+    and an audit that transposes each (state, cut) pair on its own and
+    gathers the ranks in dicts."""
+
+    def __init__(self, config, seed=0):
+        self.config = config
+        self.slots = [(p, s) for p in sorted(config.slots)
+                      for s in range(config.slots[p])]
+        self.n = len(self.slots)
+        self._index = {ps: i for i, ps in enumerate(self.slots)}
+        self.state = np.zeros((2,) * self.n, dtype=complex)
+        self.state[(0,) * self.n] = 1.0
+        self.rng = np.random.default_rng(seed)
+        self._audit, self._touched, self._pending = [], [], []
+        self._computed = self._carried = self.step_count = 0
+        self._cuts = {}
+        for p in sorted(config.slots):
+            mine = [i for i, (q, _) in enumerate(self.slots) if q == p]
+            if mine and len(mine) < self.n:
+                rest = [i for i in range(self.n) if i not in mine]
+                self._cuts[p] = (2 ** len(mine), rest + mine)
+
+    def _pos(self, party, slot):
+        try:
+            return self._index[(int(party), int(slot))]
+        except KeyError:
+            raise ScheduleError(
+                f"party {party} slot {slot} outside the configuration")
+
+    def _check_norm(self):
+        norm = np.linalg.norm(self.state)
+        if abs(norm - 1.0) > 1e-6:
+            raise StateError(
+                f"step {self.step_count}: state norm {norm} deviates from 1")
+
+    def _ranks(self, states, touched):
+        out = [{} for _ in states]
+        by_dim = {}
+        for i, parties in enumerate(touched):
+            for p in parties:
+                by_dim.setdefault(self._cuts[p][0], []).append((i, p))
+        per_call = max(1, msize.AUDIT_STACK_AMPS // self.state.size)
+        for dim, pairs in by_dim.items():
+            for c in range(0, len(pairs), per_call):
+                block = pairs[c:c + per_call]
+                mats = np.empty((len(block),) + self.state.shape, complex)
+                for j, (i, p) in enumerate(block):
+                    mats[j] = states[i].transpose(self._cuts[p][1])
+                ranks = qcore.singular_rank(
+                    mats.reshape(len(block), -1, dim))
+                for (i, p), r in zip(block, ranks.tolist()):
+                    out[i][p] = r
+                self._computed += len(block)
+        return out
+
+    def _flush(self):
+        if not self._touched:
+            return
+        found = iter(self._ranks(self._pending,
+                                 [t for t in self._touched if t]))
+        prev = (self._audit[-1] if self._audit
+                else dict.fromkeys(self._cuts, 1))
+        for parties in self._touched:
+            prev = {**prev, **next(found)} if parties else dict(prev)
+            self._carried += len(self._cuts) - len(parties)
+            self._audit.append(prev)
+        self._touched, self._pending = [], []
+
+    @property
+    def audit(self):
+        self._flush()
+        return self._audit
+
+    @property
+    def diagnostics(self):
+        self._flush()
+        return {"cut_ranks_computed": self._computed,
+                "cut_ranks_carried": self._carried}
+
+    def apply(self, step):
+        self.step_count += 1
+        op = step["op"]
+        if op == "unitary":
+            pos = [self._pos(step["party"], s) for s in step["slots"]]
+            if len(set(pos)) != len(pos):
+                raise ScheduleError("repeated slots in a unitary")
+            mat = np.asarray(step["matrix"], dtype=complex)
+            if mat.shape != (2 ** len(pos),) * 2:
+                raise ScheduleError("unitary size mismatch")
+            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
+            if not dev <= 1e-9:
+                raise ScheduleError(
+                    f"step {self.step_count}: matrix is not unitary "
+                    f"(max |U^dag U - 1| = {dev:.3g})")
+            order = pos + [i for i in range(self.n) if i not in pos]
+            t = self.state.transpose(order)
+            t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
+            self.state = t.transpose(np.argsort(order))
+            touched = ()
+        elif op == "measure":
+            pos = self._pos(step["party"], step["slot"])
+            t = np.moveaxis(self.state, pos, 0)
+            p0 = float(np.linalg.norm(t[0]) ** 2)
+            total = float(np.linalg.norm(t) ** 2)
+            outcome = 0 if self.rng.random() * total < p0 else 1
+            keep = np.zeros_like(t)
+            keep[outcome] = t[outcome]
+            norm = np.linalg.norm(keep)
+            self.state = np.moveaxis(keep / norm, 0, pos)
+            step = dict(step)
+            step["outcome"] = outcome
+            touched = tuple(self._cuts)
+        elif op == "send":
+            src = self._pos(*step["from"])
+            dst = self._pos(*step["to"])
+            if src == dst:
+                raise ScheduleError("send to the same slot")
+            if np.linalg.norm(np.take(self.state, 1, axis=dst)) > 1e-9:
+                raise ScheduleError(
+                    f"step {self.step_count}: receiving slot "
+                    f"{step['to']} is not initialized")
+            self.state = np.swapaxes(self.state, src, dst)
+            ends = {self.slots[src][0], self.slots[dst][0]}
+            touched = (tuple(p for p in self._cuts if p in ends)
+                       if len(ends) == 2 else ())
+        else:
+            raise ScheduleError(f"unknown step {op}")
+        self._check_norm()
+        self._touched.append(touched)
+        if touched:
+            self._pending.append(self.state.copy())
+            if len(self._pending) * self.state.size >= msize.AUDIT_STACK_AMPS:
+                self._flush()
+        return step
+
+    def ket(self):
+        return Ket(self.state.reshape(-1), (2,) * self.n, normalized=False)
+
+    def rank_to_party(self, party):
+        audit = self.audit
+        if audit:
+            ranks = audit[-1]
+        else:
+            self._check_norm()
+            ranks = self._ranks([self.state], [tuple(self._cuts)])[0]
+        if party not in ranks:
+            raise ValueError(f"party {party} has no slots on one side of "
+                             "its cut")
+        return ranks[party]
+
+
+def _step_simulate(config, schedule, seed=0):
+    """``dynamic_simulate`` on the per-step reference."""
+    sim = _StepSimulator(config, seed=seed)
+    executed = [sim.apply(step) for step in schedule]
+    return {
+        "state": sim.ket(),
+        "slots": list(sim.slots),
+        "steps": executed,
+        "audit": sim.audit,
+        "rank_to_party": {p: sim.rank_to_party(p)
+                          for p in sorted(config.slots) if config.slots[p]},
+        "diagnostics": sim.diagnostics,
+    }
+
+
+def test_dynamic_simulate_matches_the_per_step_simulator():
+    # bit for bit: outcomes, audit, ranks, diagnostics and amplitudes
+    three_slots = Configuration({1: 3, 2: 1, 3: 1})
+    runs = [(CONFIG_D0, resource_preparation_schedule(), 0),
+            (CONFIG_D1, [], 0), (CONFIG_D0, [], 0)]
+    for config, trials, length in [(CONFIG_D1, 200, None),
+                                   (CONFIG_D0, 8, 24),
+                                   (three_slots, 60, 30)]:
+        rng = np.random.default_rng([6161, len(config.slots)])
+        for trial in range(trials):
+            runs.append((config, random_legal_schedule(
+                config, rng, length=length or int(rng.integers(8, 25))),
+                trial))
+    for config, schedule, seed in runs:
+        fast = dynamic_simulate(config, schedule, seed=seed)
+        ref = _step_simulate(config, schedule, seed=seed)
+        assert fast.keys() == ref.keys()
+        for key in ("slots", "steps", "audit", "rank_to_party",
+                    "diagnostics"):
+            assert fast[key] == ref[key], key
+        assert np.array_equal(fast["state"].amps, ref["state"].amps)
+        assert fast["state"].amps.tobytes() == ref["state"].amps.tobytes()
+
+
+class _ReferenceSimulator(_StepSimulator):
     """The audit as first written: after every step, whatever its kind, a
     Ket and a full Schmidt decomposition per party cut."""
 
@@ -635,7 +839,9 @@ def _choice_legal_schedule(config, rng, length):
 
 
 def test_random_legal_schedule_keeps_the_choice_stream():
-    for config in (CONFIG_D1, CONFIG_D0):
+    # the three-slot party keeps rng.choice (k < n); one-slot parties take
+    # the shortcut that draws nothing
+    for config in (CONFIG_D1, CONFIG_D0, Configuration({1: 3, 2: 1, 3: 1})):
         for seed in range(200):
             fast = random_legal_schedule(
                 config, np.random.default_rng(seed), length=20)
@@ -730,6 +936,29 @@ def test_schedule_error_keeps_the_earlier_audit():
             assert len(sim.audit) == k - 1
             audits.append(sim.audit)
         assert audits[0] == audits[1]
+    # an occupied-slot send at step j raises before a later non-unitary
+    # matrix is reached, and names step j
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    steps = schedule[:5] + [
+        {"op": "unitary", "party": 2, "slots": [0], "matrix": h},
+        {"op": "unitary", "party": 3, "slots": [0], "matrix": h},
+        {"op": "send", "from": (2, 0), "to": (3, 0)},
+        {"op": "unitary", "party": 1, "slots": [0],
+         "matrix": np.diag([1.0, 5.0])}]
+    j = 8
+    audits = []
+    for sim in (DynamicSimulator(CONFIG_D1, seed=3),
+                _ReferenceSimulator(CONFIG_D1, seed=3)):
+        with pytest.raises(ScheduleError,
+                           match=f"step {j}: receiving slot"):
+            for step in steps:
+                sim.apply(step)
+        assert sim.step_count == j
+        audits.append(sim.audit)
+    assert len(audits[0]) == j - 1
+    assert audits[0] == audits[1]
+    with pytest.raises(ScheduleError, match=f"step {j}: receiving slot"):
+        dynamic_simulate(CONFIG_D1, steps, seed=3)
 
 
 def test_unnormalised_state_raises_at_its_step():
