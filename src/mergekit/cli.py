@@ -303,14 +303,18 @@ def cmd_net(args):
 
 
 def _parse_angle(text):
-    """``pi``, ``pi/x`` or a number of radians; finite, else ValueError."""
+    """``pi``, ``pi/x``, either negated, or a number of radians; finite,
+    else ValueError."""
+    body = text[1:] if text.startswith("-pi") else text
     try:
-        if text.startswith("pi/"):
-            alpha = np.pi / float(text[3:])
+        if body.startswith("pi/"):
+            alpha = np.pi / float(body[3:])
         else:
-            alpha = np.pi if text == "pi" else float(text)
+            alpha = np.pi if body == "pi" else float(body)
     except (ValueError, ZeroDivisionError):
         alpha = math.nan
+    if body is not text:
+        alpha = -alpha
     if not math.isfinite(alpha):
         raise ValueError(f"--alpha expects pi, pi/x or a finite number of "
                          f"radians, got {text!r}")
@@ -449,10 +453,20 @@ def build_parser():
     return p
 
 
+def _join_alpha(argv) -> list:
+    """``--alpha VALUE`` as ``--alpha=VALUE``, so that argparse reads a
+    negative angle such as ``-pi/4`` as the value, not as an option."""
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--alpha":
+            argv[i:i + 2] = [f"--alpha={argv[i + 1]}"]
+    return argv
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_alpha(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

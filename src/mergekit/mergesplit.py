@@ -33,7 +33,7 @@ from .locc import (
     simulate,
     uniform_distill,
 )
-from .qcore import Bipartition, Ket, reduced_state
+from .qcore import Bipartition, Ket, reduced_state, schmidt_rank
 from .states import max_entangled
 
 K_EXPLOSION_CAP = 10 ** 9
@@ -165,7 +165,7 @@ def merge_converse_search(psi: Ket, l_max: int = None, k_max: int = None) -> Con
     operator-majorization necessary condition, within the caps."""
     if psi.nsys != 3:
         raise ValueError("expected a tripartite state")
-    d_ref = _rank_of(reduced_state(psi, [0]).mat)
+    d_ref = schmidt_rank(psi, Bipartition([0], [1, 2]))
     l_max = l_max if l_max is not None else d_ref ** 2
     k_max = k_max if k_max is not None else d_ref ** 3
     if l_max < 1 or k_max < 1:
@@ -226,18 +226,11 @@ def _padded_prefix_sums(ev: np.ndarray, r_max: int, n: int) -> np.ndarray:
     return out
 
 
-def _rank_of(mat: np.ndarray, tol: float = 1e-9) -> int:
-    ev = np.clip(np.linalg.eigvalsh(mat), 0, None)
-    if ev.max() <= 0:
-        return 0
-    return int(np.sum(ev > tol * ev.max()))
-
-
 def split_min_cost(psi: Ket) -> float:
     """Minimal splitting cost: log2 of the rank of the moved subsystem."""
     if psi.nsys != 3:
         raise ValueError("expected a state on (reference, keeper, moved)")
-    return float(np.log2(_rank_of(reduced_state(psi, [2]).mat)))
+    return float(np.log2(schmidt_rank(psi, Bipartition([2], [0, 1]))))
 
 
 def split_protocol(psi: Ket, resource_rank: int):
@@ -249,7 +242,7 @@ def split_protocol(psi: Ket, resource_rank: int):
     dr, da, dm = psi.dims
     k = int(resource_rank)
     rho_m = reduced_state(psi, [2]).mat
-    rank = _rank_of(rho_m)
+    rank = schmidt_rank(psi, Bipartition([2], [0, 1]))
     if k < rank:
         raise InfeasibleError(
             f"resource rank {k} below transferred rank {rank}")

@@ -4,6 +4,7 @@ schedules, all as JSON with complex numbers rendered as [re, im] pairs."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -66,13 +67,53 @@ def load_ket(path: str) -> Ket:
 
 
 def op_to_dict(op: ProtocolOp) -> dict:
+    """Sparse (format 2) operator: its ``shape``, the ascending flat indices
+    ``nz`` of the entries whose bits are not those of +0.0+0.0j, and their
+    [re, im] pairs ``val``.  Selecting by bit pattern keeps -0.0 entries,
+    so the round trip is bit-exact."""
+    mat = np.ascontiguousarray(op.mat)
+    nz = np.flatnonzero(mat.view(np.uint64).reshape(-1, 2).any(1))
     return {"in_dims": list(op.in_dims), "out_dims": list(op.out_dims),
-            "mat": _to_pairs(op.mat)}
+            "shape": list(mat.shape), "nz": nz.tolist(),
+            "val": _to_pairs(mat.reshape(-1)[nz])}
 
 
-def op_from_dict(d: dict) -> ProtocolOp:
-    mat = _from_pairs(d["mat"], 2)
-    return ProtocolOp(mat, d["in_dims"], d["out_dims"])
+def _flat_indices(nz, size: int) -> np.ndarray:
+    """``nz`` as strictly ascending integer indices into ``size`` entries."""
+    try:
+        idx = np.asarray(nz)
+    except ValueError as e:     # ragged nesting
+        raise StateError(f"operator indices nz must be integers: {e}") from e
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise StateError("operator indices nz must be a flat list of "
+                         f"integers; got {idx.dtype} with shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise StateError(f"operator index out of range [0, {size})")
+    idx = idx.astype(np.intp)   # a uint64 difference would wrap
+    if (np.diff(idx) <= 0).any():
+        raise StateError("operator indices nz must ascend strictly")
+    return idx
+
+
+def op_from_dict(d: dict, version: int = 2) -> ProtocolOp:
+    """One operator of a format 1 (dense ``mat``) or format 2 (sparse)
+    protocol table."""
+    in_dims = tuple(int(x) for x in d["in_dims"])
+    out_dims = tuple(int(x) for x in d["out_dims"])
+    if version == 1:
+        return ProtocolOp(_from_pairs(d["mat"], 2), in_dims, out_dims)
+    shape = [math.prod(out_dims), math.prod(in_dims)]
+    if d["shape"] != shape:
+        raise StateError(f"operator shape {d['shape']!r} does not match "
+                         f"{out_dims} x {in_dims}")
+    nz = _flat_indices(d["nz"], shape[0] * shape[1])
+    if not isinstance(d["val"], list) or len(d["val"]) != nz.size:
+        raise StateError(f"operator has {nz.size} indices nz but val is "
+                         "not a list of as many [re, im] pairs")
+    mat = np.zeros(shape, dtype=complex)
+    if nz.size:
+        mat.reshape(-1)[nz] = _from_pairs(d["val"], 1)
+    return ProtocolOp(mat, in_dims, out_dims)
 
 
 def protocol_to_dict(proto: LoccProtocol) -> dict:
@@ -83,17 +124,22 @@ def protocol_to_dict(proto: LoccProtocol) -> dict:
             skey = ",".join(str(k) for k in key)
             instruments[skey] = [op_to_dict(o) for o in ops]
         rounds.append({"party": r.party, "instruments": instruments})
-    return {"parties": {k: list(v) for k, v in proto.parties.items()},
+    return {"format": 2,
+            "parties": {k: list(v) for k, v in proto.parties.items()},
             "rounds": rounds}
 
 
 def protocol_from_dict(d: dict) -> LoccProtocol:
+    """A protocol table of format 2, or of format 1 (no ``format`` key)."""
+    version = d.get("format", 1)
+    if version not in (1, 2):
+        raise StateError(f"unknown protocol table format {version!r}")
     rounds = []
     for r in d["rounds"]:
         instruments = {}
         for skey, ops in r["instruments"].items():
             key = tuple(int(x) for x in skey.split(",")) if skey else ()
-            instruments[key] = [op_from_dict(o) for o in ops]
+            instruments[key] = [op_from_dict(o, version) for o in ops]
         rounds.append(Round(r["party"], instruments))
     return LoccProtocol(parties={k: tuple(v)
                                  for k, v in d["parties"].items()},

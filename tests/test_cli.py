@@ -281,6 +281,28 @@ def test_msize_alpha_must_be_finite(capsys, alpha):
         assert "--alpha" in err
 
 
+def test_msize_alpha_may_be_negative(capsys):
+    outs = set()
+    for argv in (["--alpha", "-pi/4"], ["--alpha=-pi/4"],
+                 ["--alpha", "-0.7853981633974483"]):
+        code, out, err = _run(["msize", "prepare"] + argv, capsys)
+        assert code == 0
+        assert err.startswith("[msize-prepare] PASS")
+        outs.add(out)
+    assert len(outs) == 1
+    from mergekit.cli import _parse_angle
+    assert _parse_angle("-pi/4") == -0.7853981633974483
+    assert _parse_angle("-pi") == -np.pi
+
+
+def test_msize_alpha_negative_infinity_is_refused(capsys):
+    code, out, err = _run(["msize", "prepare", "--alpha", "-inf"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --alpha expects pi, pi/x or a finite number of "
+                   "radians, got '-inf'\n")
+
+
 def test_msize_dynamic_needs_a_schedule(capsys):
     code, out, err = _run(["msize", "dynamic"], capsys)
     assert code == 2
@@ -416,8 +438,8 @@ def _per_element_pair(z):
 
 
 def _per_element_protocol_dict(proto):
-    """Protocol table as built one complex entry at a time, the encoder
-    that whole-array conversion replaced."""
+    """Protocol table in format 1 (no ``format`` key, one dense ``mat`` per
+    operator), built one complex entry at a time."""
     rounds = []
     for r in proto.rounds:
         instruments = {}
@@ -430,6 +452,20 @@ def _per_element_protocol_dict(proto):
         rounds.append({"party": r.party, "instruments": instruments})
     return {"parties": {k: list(v) for k, v in proto.parties.items()},
             "rounds": rounds}
+
+
+def _assert_same_protocol(back, proto):
+    """Same parties, rounds, keys, dims, and operator bits, -0.0 included."""
+    assert back.parties == proto.parties
+    assert len(back.rounds) == len(proto.rounds)
+    for r, rb in zip(proto.rounds, back.rounds):
+        assert r.party == rb.party
+        assert list(r.instruments) == list(rb.instruments)
+        for key, ops in r.instruments.items():
+            for o, ob in zip(ops, rb.instruments[key], strict=True):
+                assert (ob.in_dims, ob.out_dims) == (o.in_dims, o.out_dims)
+                assert ob.mat.shape == o.mat.shape
+                assert ob.mat.tobytes() == o.mat.tobytes()
 
 
 def test_protocol_table_matches_per_element_encoder_and_round_trips():
@@ -446,23 +482,106 @@ def test_protocol_table_matches_per_element_encoder_and_round_trips():
     negative_zeros = 0
     for psi, setting in cases:
         proto = merge_protocol(psi, setting).locc()
-        text = json.dumps(serialize.protocol_to_dict(proto))
-        assert text == json.dumps(_per_element_protocol_dict(proto))
-        back = serialize.protocol_from_dict(json.loads(text))
-        assert back.parties == proto.parties
-        assert len(back.rounds) == len(proto.rounds)
-        for r, rb in zip(proto.rounds, back.rounds):
-            assert r.party == rb.party
-            assert list(r.instruments) == list(rb.instruments)
+        table = serialize.protocol_to_dict(proto)
+        assert table["format"] == 2
+        back = serialize.protocol_from_dict(json.loads(json.dumps(table)))
+        _assert_same_protocol(back, proto)
+        v1 = json.loads(json.dumps(_per_element_protocol_dict(proto)))
+        _assert_same_protocol(serialize.protocol_from_dict(v1), proto)
+        # stored entries are exactly those whose bits are not +0.0+0.0j
+        stored = bitwise_nonzero = 0
+        for r, rt in zip(proto.rounds, table["rounds"]):
             for key, ops in r.instruments.items():
-                for o, ob in zip(ops, rb.instruments[key], strict=True):
-                    assert (ob.in_dims, ob.out_dims) == (o.in_dims,
-                                                         o.out_dims)
-                    assert ob.mat.shape == o.mat.shape
-                    assert ob.mat.tobytes() == o.mat.tobytes()
-                    z = o.mat.view(float)
+                for o, ot in zip(ops, rt["instruments"][",".join(
+                        str(k) for k in key)], strict=True):
+                    z = o.mat.view(float).reshape(-1, 2)
                     negative_zeros += int(np.sum((z == 0) & np.signbit(z)))
+                    bitwise_nonzero += int(np.sum(
+                        ((z != 0) | np.signbit(z)).any(1)))
+                    stored += len(ot["nz"])
+                    assert len(ot["val"]) == len(ot["nz"])
+        assert stored == bitwise_nonzero
+        if setting == "non-catalytic":
+            total = sum(o.mat.size for r in proto.rounds
+                        for ops in r.instruments.values() for o in ops)
+            assert stored < total / 2      # most entries are exact zeros
     assert negative_zeros > 0       # the bit-exact check covered -0.0
+
+
+def test_format_1_table_simulates_like_its_format_2_twin(tmp_path, capsys):
+    from mergekit.mergesplit import merge_protocol
+    from mergekit.qcore import random_ket
+
+    psi = random_ket((2, 3, 3), np.random.default_rng(7))
+    proto = merge_protocol(psi, "non-catalytic")
+    locc = proto.locc()
+    spath = tmp_path / "in.json"
+    serialize.save_ket(psi.kron(states.max_entangled(proto.resource_rank)),
+                       str(spath))
+    reports = []
+    for name, table in (("v1.json", _per_element_protocol_dict(locc)),
+                        ("v2.json", serialize.protocol_to_dict(locc))):
+        (tmp_path / name).write_text(json.dumps(table))
+        code, out, _ = _run(["simulate", str(tmp_path / name), str(spath)],
+                            capsys)
+        assert code == 0
+        rep = json.loads(out)
+        rep["inputs"].pop(str(tmp_path / name))   # the table's own hash
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["checks"]["probabilities_close"]
+
+
+def _break_first_op(table, how):
+    o = table["rounds"][0]["instruments"][""][0]
+    if how == "index-too-large":
+        o["nz"][-1] = o["shape"][0] * o["shape"][1]
+    elif how == "negative-index":
+        o["nz"][0] = -1
+    elif how == "repeated-index":
+        o["nz"][1] = o["nz"][0]
+    elif how == "unsorted-index":
+        o["nz"][0], o["nz"][1] = o["nz"][1], o["nz"][0]
+    elif how == "non-integer-index":
+        o["nz"][0] = 0.5
+    elif how == "shape-disagrees":
+        o["shape"] = [o["shape"][1], o["shape"][0] + 1]
+    elif how == "val-length":
+        o["val"].pop()
+    elif how == "non-finite-pair":
+        o["val"][0] = [float("inf"), 0.0]
+    elif how == "unknown-format":
+        table["format"] = 3
+    return table
+
+
+@pytest.mark.parametrize("how,message", [
+    ("index-too-large", "operator index out of range"),
+    ("negative-index", "operator index out of range"),
+    ("repeated-index", "operator indices nz must ascend strictly"),
+    ("unsorted-index", "operator indices nz must ascend strictly"),
+    ("non-integer-index", "operator indices nz must be a flat list of "
+                          "integers"),
+    ("shape-disagrees", "operator shape [4, 2] does not match"),
+    ("val-length", "indices nz but val is not a list of as many"),
+    ("non-finite-pair", "complex entries must be finite"),
+    ("unknown-format", "unknown protocol table format 3"),
+])
+def test_malformed_sparse_table_exits_2(tmp_path, capsys, how, message):
+    from mergekit.locc import one_way_to_locc, teleport_protocol
+
+    table = serialize.protocol_to_dict(
+        one_way_to_locc(teleport_protocol(2), (0, 1), (2,)))
+    assert len(table["rounds"][0]["instruments"][""][0]["nz"]) >= 2
+    ppath = tmp_path / "table.json"
+    ppath.write_text(json.dumps(_break_first_op(table, how)))
+    inp = tmp_path / "in.json"
+    serialize.save_ket(Ket(np.kron([1, 0], states.max_entangled(2).amps),
+                           (2, 2, 2)), str(inp))
+    code, out, err = _run(["simulate", str(ppath), str(inp)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("width", [1, 3], ids=["re", "re-im-extra"])
@@ -484,7 +603,7 @@ def test_complex_entries_must_be_pairs(tmp_path, capsys, width):
     for r in table["rounds"]:
         for ops in r["instruments"].values():
             for o in ops:
-                o["mat"] = [reshape_pairs(row) for row in o["mat"]]
+                o["val"] = reshape_pairs(o["val"])
     ppath = tmp_path / "table.json"
     ppath.write_text(json.dumps(table))
     inp = tmp_path / "in.json"

@@ -47,6 +47,24 @@ def test_split_costs():
     assert abs(split_min_cost(psi) - 1.0) < 1e-12
 
 
+def test_split_cost_counts_a_small_schmidt_coefficient():
+    # Schmidt coefficients proportional to 1 and 1e-6 across the moved cut:
+    # rank 2 by the singular-value rule, so moving it costs one ebit
+    amps = np.zeros(4)
+    amps[[0, 3]] = [1.0, 1e-6]
+    psi = Ket(amps / np.linalg.norm(amps), (2, 1, 2))
+    assert split_min_cost(psi) == 1.0
+    assert schmidt_rank(psi, Bipartition([2], [0, 1])) == 2
+    assert schmidt_rank(psi, Bipartition([0], [1, 2])) == 2
+    with pytest.raises(InfeasibleError):
+        simulate_split(psi, 1)
+    branches, _ = simulate_split(psi, 2)
+    for b in branches:
+        t = b.state.tensor()
+        got = Ket(t[:, :, 0, :, 0].reshape(-1), psi.dims, normalized=False)
+        assert branch_fidelity(got, psi) > 1 - 1e-10
+
+
 def test_split_protocol_exact():
     rng = np.random.default_rng(1)
     psi = random_ket([2, 2, 3], rng)
@@ -231,11 +249,9 @@ def _kron_bell_bra(d, sigma):
 def _reference_split_teleport_ops(psi, k):
     """split_protocol's sender and receiver operators of the k*k teleport
     outcomes, each Bell bra and the encoder rebuilt with kron per outcome."""
-    from mergekit.mergesplit import _rank_of
-
     dr, da, dm = psi.dims
     rho_m = reduced_state(psi, [2]).mat
-    rank = _rank_of(rho_m)
+    rank = schmidt_rank(psi, Bipartition([2], [0, 1]))
     ev, vec = np.linalg.eigh(rho_m)
     vec = vec[:, np.argsort(ev)[::-1]]
     embed = np.zeros((k, rank), dtype=complex)
