@@ -78,10 +78,9 @@ class GraphState:
 
 
 @functools.lru_cache(maxsize=16)
-def resource_graph_state(circ: CircuitSpec):
+def resource_graph_state(circ: CircuitSpec) -> GraphState:
     """The preparation resource: one auxiliary vertex per gate wired to the
-    gate's two targets; returns (graph, plus-state graph ket) and verifies
-    the vertex stabilizers.  Built once per circuit; the arrays are
+    gate's two targets.  Built once per circuit; the adjacency is
     read-only."""
     n_t, n_a = circ.n_qubits, circ.n_gates
     n = n_t + n_a
@@ -91,27 +90,8 @@ def resource_graph_state(circ: CircuitSpec):
         a = n_t + k
         adj[a, i - 1] = adj[i - 1, a] = True
         adj[a, j - 1] = adj[j - 1, a] = True
-    amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    for v, u in zip(*np.nonzero(np.triu(adj))):
-        # CZ on the edge: negate the entries whose bits v and u are both one
-        amps.reshape(2 ** v, 2, 2 ** (u - v - 1), 2, -1)[:, 1, :, 1] *= -1
-    ket = Ket(amps, (2,) * n)
-    graph = GraphState(adjacency=adj, roles=tuple(roles))
-    for v in range(n):
-        if not _stabilizer_holds(ket, graph, v):
-            raise RuntimeError(f"graph-state stabilizer failed at vertex {v}")
     adj.flags.writeable = False
-    return graph, ket
-
-
-def _stabilizer_holds(ket: Ket, graph: GraphState, v: int,
-                      tol: float = 1e-10) -> bool:
-    # X on v, then Z on each neighbour, on flat views (qubit 0 most
-    # significant) rather than the slow n-axis tensor
-    out = ket.amps.reshape(2 ** v, 2, -1)[:, ::-1].reshape(-1)
-    for u in graph.neighbors(v):
-        out.reshape(2 ** u, 2, -1)[:, 1] *= -1
-    return bool(np.linalg.norm(out - ket.amps) <= tol)
+    return GraphState(adjacency=adj, roles=tuple(roles))
 
 
 def mbqc_prepare(circ: CircuitSpec, alphas, tol: float = 1e-8) -> dict:
@@ -169,8 +149,8 @@ def _mbqc_branches(circ: CircuitSpec, alphas):
 
     one 2x2 table per gate.  The (targets, outcomes) branch matrix is their
     outer product over the outcome bits.  The premise is checked on the
-    adjacency of the verified resource graph."""
-    graph, _ = resource_graph_state(circ)
+    resource graph's adjacency."""
+    graph = resource_graph_state(circ)
     target = circuit_state(circ, alphas)
     n_t, n_a = circ.n_qubits, circ.n_gates
     if graph.adjacency[:n_t, :n_t].any() or any(
@@ -487,6 +467,14 @@ class SlotLayout:
                           if a != b and p in (a, b))
             for a in self.parties for b in self.parties}
 
+    def pos(self, party, slot) -> int:
+        """The axis of a (party, slot) pair."""
+        try:
+            return self.index[(int(party), int(slot))]
+        except KeyError:
+            raise ScheduleError(
+                f"party {party} slot {slot} outside the configuration")
+
 
 CONFIG_D0 = Configuration({1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1})
 CONFIG_D1 = Configuration({1: 2, 2: 1, 3: 1, 4: 1})
@@ -560,13 +548,6 @@ class DynamicSimulator:
         self._computed = 0
         self._carried = 0
         self.step_count = 0
-
-    def _pos(self, party, slot):
-        try:
-            return self.layout.index[(int(party), int(slot))]
-        except KeyError:
-            raise ScheduleError(
-                f"party {party} slot {slot} outside the configuration")
 
     @property
     def state(self) -> np.ndarray:
@@ -651,7 +632,8 @@ class DynamicSimulator:
         op = step["op"]
         if op == "unitary":
             party = step["party"]
-            pos = tuple([self._pos(party, s) for s in step["slots"]])
+            pos = tuple([self.layout.pos(party, s)
+                         for s in step["slots"]])
             if len(set(pos)) != len(pos):
                 raise ScheduleError("repeated slots in a unitary")
             mat = np.asarray(step["matrix"], dtype=complex)
@@ -671,7 +653,7 @@ class DynamicSimulator:
             touched = ()
         elif op == "measure":
             order, inverse = _axis_orders(
-                self.n, (self._pos(step["party"], step["slot"]),))
+                self.n, (self.layout.pos(step["party"], step["slot"]),))
             t = self._state.transpose(order)
             p0 = float(_norm(t[0]) ** 2)
             total = float(self._current_norm() ** 2)   # t's memory order
@@ -683,8 +665,8 @@ class DynamicSimulator:
             step = {**step, "outcome": outcome}
             touched = self.layout.all_cuts
         elif op == "send":
-            src = self._pos(*step["from"])
-            dst = self._pos(*step["to"])
+            src = self.layout.pos(*step["from"])
+            dst = self.layout.pos(*step["to"])
             if src == dst:
                 raise ScheduleError("send to the same slot")
             order, _ = _axis_orders(self.n, (dst,))
@@ -834,21 +816,64 @@ def dynamic_simulate(config: Configuration, schedule, seed: int = 0) -> dict:
     }
 
 
-def verify_resource_preparation(seed: int = 0) -> dict:
-    """The preparation schedule reproduces the resource graph state under
-    the default configuration with fidelity one."""
-    circ = default_circuit()
-    _, target = resource_graph_state(circ)
-    out = dynamic_simulate(CONFIG_D0, resource_preparation_schedule(),
-                           seed=seed)
-    state = out["state"]
-    order = [RESOURCE_SLOT_VERTEX[ps] for ps in out["slots"]]
-    rearranged = state.permute(list(np.argsort(order)))
-    fid = abs(np.vdot(target.amps, rearranged.amps)) ** 2
+def _run_on_graph(config: Configuration, schedule):
+    """Run a schedule of H on a fresh qubit, CZ and sends on the graph of
+    its born qubits (Hein, Eisert & Briegel, PRA 69, 062311 (2004)), with
+    the simulator's slot checks.  Qubits are named by their first slot;
+    returns the slot -> qubit map, the born flags and the adjacency."""
+    lay = config.layout
+    where = list(range(lay.n))
+    born = np.zeros(lay.n, dtype=bool)
+    adj = np.zeros((lay.n, lay.n), dtype=bool)
+    for t, step in enumerate(schedule, 1):
+        if step["op"] == "send":
+            src, dst = lay.pos(*step["from"]), lay.pos(*step["to"])
+            if src == dst:
+                raise ScheduleError("send to the same slot")
+            if born[where[dst]]:
+                raise ScheduleError(f"step {t}: receiving slot "
+                                    f"{step['to']} is not initialized")
+            where[src], where[dst] = where[dst], where[src]
+            continue
+        if step["op"] != "unitary":
+            raise ScheduleError(f"step {t}: {step['op']} leaves graph states")
+        q = [where[lay.pos(step["party"], s)] for s in step["slots"]]
+        if len(set(q)) != len(q):
+            raise ScheduleError("repeated slots in a unitary")
+        mat = np.asarray(step["matrix"], dtype=complex)
+        gate = {1: H_GATE, 2: CZ_GATE}.get(len(q))
+        if gate is None or mat.shape != gate.shape or (
+                mat.tobytes() != gate.tobytes()):      # bit-equal
+            raise ScheduleError(f"step {t}: unitary is neither H nor CZ")
+        if len(q) == 1:
+            if born[q[0]]:
+                raise ScheduleError(f"step {t}: H on a born qubit")
+            born[q[0]] = True
+        elif born[q].all():    # CZ on |0> is the identity
+            adj[q[0], q[1]] = adj[q[1], q[0]] = not adj[q[0], q[1]]
+    return where, born, adj
+
+
+def verify_resource_preparation() -> dict:
+    """The preparation schedule, run on its graph, builds the resource graph
+    state under the default configuration.  The overlap is exact:
+    ``2^{-(n+|B|)/2} sum_x (-1)^{x^T U x}`` over the ``x`` that vanish off
+    the born set ``B``, ``U`` the upper triangle of the graphs' XOR."""
+    schedule = resource_preparation_schedule()
+    where, born, adj = _run_on_graph(CONFIG_D0, schedule)
+    want = resource_graph_state(default_circuit()).adjacency
+    qubit = np.empty(len(where), dtype=int)    # vertex -> qubit
+    qubit[[RESOURCE_SLOT_VERTEX[ps] for ps in CONFIG_D0.layout.slots]] = where
+    got, born = adj[np.ix_(qubit, qubit)], born[qubit]
+    u = np.triu(got ^ want) & np.outer(born, born)
+    free = np.flatnonzero(u.any(0) | u.any(1))  # the other born x_v sum to 2
+    x = np.arange(2 ** len(free))[:, None] >> np.arange(len(free)) & 1
+    parity = np.einsum("si,ij,sj->s", x, u[np.ix_(free, free)].astype(int), x)
+    total = int(np.sum(1 - 2 * (parity & 1))) << int(born.sum()) - len(free)
     return {
-        "fidelity": float(fid),
-        "steps": len(out["steps"]),
-        "pass": bool(fid > 1 - 1e-9),
+        "fidelity": total ** 2 / 2 ** (len(born) + int(born.sum())),
+        "steps": len(schedule),
+        "pass": bool(born.all() and (got == want).all()),
         "slot_vertex_map": {str(k): v for k, v in
                             RESOURCE_SLOT_VERTEX.items()},
     }

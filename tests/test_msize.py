@@ -1,4 +1,7 @@
+import functools
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from mergekit.msize import (
     verify_dynamic_rank_limit,
     verify_resource_preparation,
 )
-from mergekit.msize import _mbqc_branches
+from mergekit.msize import _mbqc_branches, _run_on_graph
 from mergekit.qcore import (Bipartition, Ket, StateError, schmidt_decompose,
                             schmidt_rank)
 
@@ -77,8 +80,34 @@ def test_single_gate_matches_two_qubit_form():
     assert np.allclose(psi.amps, expect)
 
 
+def _stabilizer_holds(ket, graph, v, tol=1e-10):
+    # X on v, then Z on each neighbour, on flat views (qubit 0 most
+    # significant) rather than the slow n-axis tensor
+    out = ket.amps.reshape(2 ** v, 2, -1)[:, ::-1].reshape(-1)
+    for u in graph.neighbors(v):
+        out.reshape(2 ** u, 2, -1)[:, 1] *= -1
+    return bool(np.linalg.norm(out - ket.amps) <= tol)
+
+
+@functools.lru_cache(maxsize=16)
+def _resource_ket(circ):
+    """The resource graph state on 2^n amplitudes, checked against its
+    vertex stabilizers: the oracle of the tensor and per-branch tests."""
+    graph = resource_graph_state(circ)
+    n = len(graph.adjacency)
+    amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+    for v, u in zip(*np.nonzero(np.triu(graph.adjacency))):
+        # CZ on the edge: negate the entries whose bits v and u are both one
+        amps.reshape(2 ** v, 2, 2 ** (u - v - 1), 2, -1)[:, 1, :, 1] *= -1
+    ket = Ket(amps, (2,) * n)
+    for v in range(n):
+        assert _stabilizer_holds(ket, graph, v), v
+    return ket
+
+
 def test_resource_graph_state_structure():
-    g, ket = resource_graph_state(default_circuit())
+    g = resource_graph_state(default_circuit())
+    ket = _resource_ket(default_circuit())
     assert ket.dims == (2,) * 15
     assert abs(np.linalg.norm(ket.amps) - 1) < 1e-12
     # each auxiliary touches exactly its gate's two targets
@@ -88,7 +117,9 @@ def test_resource_graph_state_structure():
 
 
 def test_resource_graph_state_empty_circuit():
-    g, ket = resource_graph_state(CircuitSpec(3, []))
+    g = resource_graph_state(CircuitSpec(3, []))
+    assert not g.adjacency.any()
+    ket = _resource_ket(CircuitSpec(3, []))
     assert np.allclose(ket.amps, 2.0 ** -1.5)
 
 
@@ -289,7 +320,165 @@ def test_dynamic_measure_deterministic_given_seed():
 def test_resource_preparation_schedule():
     rep = verify_resource_preparation()
     assert rep["pass"]
-    assert rep["fidelity"] > 1 - 1e-9
+    assert rep["fidelity"] == 1.0      # exact, not rounded
+    assert rep["steps"] == 41
+    assert rep.keys() == {"fidelity", "steps", "pass", "slot_vertex_map"}
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) of rows packed into ints."""
+    rank, rows = 0, [r for r in rows if r]
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r for r in (r ^ pivot if r & low else r for r in rows) if r]
+        rank += 1
+    return rank
+
+
+def _graph_audit(config, where, adj):
+    """Party-cut Schmidt ranks of a tracked graph state: two to the GF(2)
+    rank of the cut's biadjacency."""
+    slots = config.layout.slots
+    ranks = {}
+    for p in config.layout.cut_parties:
+        mine = [where[i] for i, (q, _) in enumerate(slots) if q == p]
+        rest = [where[i] for i, (q, _) in enumerate(slots) if q != p]
+        ranks[p] = 2 ** _gf2_rank(
+            sum(int(adj[m, r]) << k for k, r in enumerate(rest))
+            for m in mine)
+    return ranks
+
+
+def _float_fidelity(schedule):
+    """The float simulator's run of a preparation schedule: its fidelity,
+    axes permuted to resource vertices, against the graph ket, and the
+    run itself."""
+    out = dynamic_simulate(CONFIG_D0, schedule)
+    order = [msize.RESOURCE_SLOT_VERTEX[ps] for ps in out["slots"]]
+    state = out["state"].permute(list(np.argsort(order)))
+    target = _resource_ket(default_circuit())
+    return abs(np.vdot(target.amps, state.amps)) ** 2, out
+
+
+def test_resource_preparation_against_the_float_simulator():
+    # the float run as the oracle: same state, and at every step an audit
+    # equal to the tracked graph's GF(2) cut ranks
+    schedule = resource_preparation_schedule()
+    fid, out = _float_fidelity(schedule)
+    assert fid > 1 - 1e-9
+    assert abs(verify_resource_preparation()["fidelity"] - fid) < 1e-12
+    assert len(out["audit"]) == len(schedule)
+    for t, ranks in enumerate(out["audit"], 1):
+        where, _, adj = _run_on_graph(CONFIG_D0, schedule[:t])
+        assert _graph_audit(CONFIG_D0, where, adj) == ranks, t
+    assert max(max(r.values()) for r in out["audit"]) == 4
+
+
+def _verify_schedule(monkeypatch, schedule):
+    monkeypatch.setattr(msize, "resource_preparation_schedule",
+                        lambda: schedule)
+    return verify_resource_preparation()
+
+
+def _cz(party):
+    return {"op": "unitary", "party": party, "slots": [0, 1],
+            "matrix": msize.CZ_GATE}
+
+
+def test_resource_preparation_mismatch_is_exact(monkeypatch):
+    schedule = resource_preparation_schedule()
+    cz_steps = [i for i, step in enumerate(schedule)
+                if step["op"] == "unitary" and len(step["slots"]) == 2]
+    assert len(cz_steps) == 14
+    # one edge short: the overlap is 2^n / 2 of 2^n
+    for i in (cz_steps[0], cz_steps[7], cz_steps[-1]):
+        short = schedule[:i] + schedule[i + 1:]
+        rep = _verify_schedule(monkeypatch, short)
+        assert not rep["pass"] and rep["steps"] == 40
+        assert rep["fidelity"] == 0.25
+        assert abs(rep["fidelity"] - _float_fidelity(short)[0]) < 1e-12
+    # a triangle of extra CZs: t3-a6 while a6 is at party 3, a3-a6 while
+    # both are at party 7, a3-t3 once a3 is home; the overlap vanishes
+    tri = (schedule[:37] + [_cz(3)] + schedule[37:38] + [_cz(7)]
+           + schedule[38:] + [_cz(3)])
+    rep = _verify_schedule(monkeypatch, tri)
+    assert not rep["pass"] and rep["fidelity"] == 0.0
+    assert abs(_float_fidelity(tri)[0]) < 1e-12
+    # CZ while one or both qubits are still |0> is the identity
+    for idle in (schedule[:15] + [_cz(5)] + schedule[15:],
+                 schedule[:16] + [_cz(5)] + schedule[16:]):
+        rep = _verify_schedule(monkeypatch, idle)
+        assert rep["pass"] and rep["fidelity"] == 1.0
+        assert _float_fidelity(idle)[0] > 1 - 1e-9
+    # t7 left in |0>, its CZ with a6 a no-op: |<+|0>|^2 = 1/2
+    unborn = schedule[:-2]
+    rep = _verify_schedule(monkeypatch, unborn)
+    assert not rep["pass"] and rep["fidelity"] == 0.5
+    assert abs(rep["fidelity"] - _float_fidelity(unborn)[0]) < 1e-12
+
+
+def test_resource_preparation_refuses_what_the_graph_cannot_follow(
+        monkeypatch):
+    schedule = resource_preparation_schedule()
+    h = {"op": "unitary", "party": 4, "slots": [0], "matrix": msize.H_GATE}
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def send(a, b):
+        return {"op": "send", "from": a, "to": b}
+
+    head = schedule[:3]             # a7 and t8 born at party 4, one edge
+    graph_only = [
+        (head + [h], "step 4: H on a born qubit"),
+        (head + [{**h, "matrix": x}], "step 4: unitary is neither H nor CZ"),
+        (head + [{**h, "slots": [0, 1]}],
+         "step 4: unitary is neither H nor CZ"),
+        (head + [{**h, "slots": []}], "step 4: unitary is neither H nor CZ"),
+        (head + [{**h, "matrix": msize.H_GATE.reshape(4)}],
+         "step 4: unitary is neither H nor CZ"),
+        (head + [{**_cz(4), "slots": [0]}],
+         "step 4: unitary is neither H nor CZ"),
+        (head + [{**_cz(4), "matrix": -msize.CZ_GATE}],
+         "step 4: unitary is neither H nor CZ"),
+        (head + [{"op": "measure", "party": 4, "slot": 0}],
+         "step 4: measure leaves graph states"),
+    ]
+    # the slot checks word their errors as the float simulator does
+    both = [
+        (head + [send((4, 1), (4, 0))],
+         "step 4: receiving slot (4, 0) is not initialized"),
+        (head + [send((4, 1), (8, 1))],
+         "party 8 slot 1 outside the configuration"),
+        (head + [{**h, "party": 9}],
+         "party 9 slot 0 outside the configuration"),
+        (head + [{**_cz(4), "slots": [1, 1]}],
+         "repeated slots in a unitary"),
+        (head + [send((4, 1), (4, 1))], "send to the same slot"),
+    ]
+    for bad, message in graph_only + both:
+        with pytest.raises(ScheduleError, match=re.escape(message)):
+            _verify_schedule(monkeypatch, bad)
+    for bad, message in both:
+        with pytest.raises(ScheduleError, match=re.escape(message)):
+            dynamic_simulate(CONFIG_D0, bad)
+
+
+def test_resource_preparation_never_builds_the_amplitudes(monkeypatch):
+    def no_simulator(*args, **kwargs):
+        raise AssertionError("float simulator used")
+
+    verify_resource_preparation()       # cached graphs and layouts
+    monkeypatch.setattr(msize, "DynamicSimulator", no_simulator)
+    monkeypatch.setattr(msize, "dynamic_simulate", no_simulator)
+    tracemalloc.start()
+    try:
+        rep = verify_resource_preparation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["pass"] and rep["fidelity"] == 1.0
+    # one 2^15-amplitude complex state takes 512 KiB
+    assert peak < 2 ** 15 * 16 // 8, peak
 
 
 def test_dynamic_rank_limit():
@@ -331,7 +520,7 @@ def test_scaled_states_at_odd_quarter_multiples():
 def _reference_mbqc_branches(circ, alphas):
     """The per-branch preparation as first written: for each outcome string,
     rotate, measure and correct the auxiliaries one by one."""
-    _, ket = resource_graph_state(circ)
+    ket = _resource_ket(circ)
     target = circuit_state(circ, alphas)
     n_t, n_a = circ.n_qubits, circ.n_gates
     probs, infid = [], []
@@ -363,7 +552,7 @@ def _tensor_mbqc_branches(circ, alphas):
     auxiliary axis of the 2^n-amplitude resource tensor, read column o of
     the (targets, auxiliaries) matrix as branch o, and apply the exact
     +-1 sign of Z_i Z_j where o_k = 1."""
-    _, ket = resource_graph_state(circ)
+    ket = _resource_ket(circ)
     target = circuit_state(circ, alphas)
     n_t, n_a = circ.n_qubits, circ.n_gates
     t = ket.tensor()
@@ -395,7 +584,7 @@ def test_mbqc_prepare_never_reads_the_graph_state_tensor(monkeypatch):
 
 def test_mbqc_branches_reject_a_non_factoring_graph(monkeypatch):
     circ = CircuitSpec(3, [(1, 2), (2, 3)])
-    graph, ket = resource_graph_state(circ)
+    graph = resource_graph_state(circ)
     target_edge = graph.adjacency.copy()
     target_edge[0, 2] = target_edge[2, 0] = True
     wrong_target = graph.adjacency.copy()
@@ -404,7 +593,7 @@ def test_mbqc_branches_reject_a_non_factoring_graph(monkeypatch):
     for adj in (target_edge, wrong_target):
         patched = msize.GraphState(adjacency=adj, roles=graph.roles)
         monkeypatch.setattr(msize, "resource_graph_state",
-                            lambda c, g=patched: (g, ket))
+                            lambda c, g=patched: g)
         with pytest.raises(RuntimeError, match="one auxiliary per gate"):
             mbqc_prepare(circ, [0.4, 0.9])
 
@@ -467,7 +656,7 @@ def test_mbqc_preparation_through_simulator():
     for circ, alphas in [(default_circuit(), [np.pi / 4] * 7),
                          (CircuitSpec(2, [(1, 2)]), [0.7])]:
         branches = simulate(_mbqc_protocol(circ, alphas),
-                            resource_graph_state(circ)[1])
+                            _resource_ket(circ))
         probs, infid = _mbqc_branches(circ, alphas)
         assert [b.outcomes[:circ.n_gates] for b in branches] == list(
             itertools.product((0, 1), repeat=circ.n_gates))
@@ -973,10 +1162,8 @@ def test_unnormalised_state_raises_at_its_step():
 
 def test_resource_graph_state_cached_read_only():
     circ = default_circuit()
-    first = resource_graph_state(circ)
-    assert resource_graph_state(CircuitSpec(8, circ.gates)) is first
-    graph, ket = first
-    with pytest.raises(ValueError):
-        ket.amps[0] = 0.0
+    graph = resource_graph_state(circ)
+    assert resource_graph_state(CircuitSpec(8, circ.gates)) is graph
+    assert isinstance(graph, msize.GraphState)
     with pytest.raises(ValueError):
         graph.adjacency[0, 1] = False
