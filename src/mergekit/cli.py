@@ -15,16 +15,16 @@ import numpy as np
 from . import msize, netcost, serialize, states, twoway
 from .kidecomp import (MaximalityError, ki_decompose_tripartite,
                        maximality_check)
-from .locc import (CompletenessError, InfeasibleError, branch_fidelities,
+from .locc import (CompletenessError, InfeasibleError, audit_protocol,
                    simulate)
 from .mergesplit import (
     merge_converse_search,
     merge_cost_catalytic,
     merge_cost_noncatalytic,
     merge_protocol,
-    simulate_split,
     split_min_cost,
     verify_merge_protocol,
+    verify_split,
 )
 from .qcore import Ket, StateError, reduced_state
 
@@ -183,6 +183,7 @@ def cmd_merge_protocol(args):
         checks["all_branches_exact"] = bool(ok)
     if args.save:
         locc = proto.locc()
+        audit_protocol(locc)
         with open(args.save, "w") as f:
             f.write(json.dumps(serialize.protocol_to_dict(locc)))
         results["protocol_path"] = args.save
@@ -199,11 +200,7 @@ def cmd_split_cost(args):
     checks = {}
     if args.simulate:
         rank = args.rank or int(round(2 ** cost))
-        branches, meta = simulate_split(tri, rank)
-        got = np.stack([b.state.tensor() for b in branches])
-        fid = branch_fidelities(got[:, :, :, 0, :, 0], tri.amps)
-        worst = max(0.0, float(np.max(1 - fid)))
-        results["branches"] = len(branches)
+        worst, results["branches"] = verify_split(tri, rank)
         results["worst_infidelity"] = worst
         checks["all_branches_exact"] = bool(worst < 1e-8)
     return _report("split-cost", [args.state], results, checks,

@@ -199,23 +199,17 @@ def _check_complete(ops, tol=COMPLETENESS_TOL, what="instrument"):
 
 @dataclass(frozen=True)
 class OneWayProtocol:
-    """Sender measurement with matched receiver isometries."""
+    """Sender measurement with matched receiver isometries, unaudited: it
+    runs through ``one_way_to_locc``, whose simulation audits it."""
 
     a_ops: list
     b_ops: list
 
-    def __init__(self, a_ops, b_ops, check=True):
+    def __init__(self, a_ops, b_ops):
         a_ops = list(a_ops)
         b_ops = list(b_ops)
         if len(a_ops) != len(b_ops):
             raise ValueError("sender and receiver operator counts differ")
-        if check:
-            _check_complete(a_ops, what="sender measurement")
-            bad = np.flatnonzero(_isometry_deviation(
-                [op.mat for op in b_ops]) > COMPLETENESS_TOL)
-            if bad.size:
-                raise CompletenessError(
-                    f"receiver operator {bad[0]} is not an isometry")
         object.__setattr__(self, "a_ops", a_ops)
         object.__setattr__(self, "b_ops", b_ops)
 
@@ -235,20 +229,19 @@ class Round:
 
 @dataclass(frozen=True)
 class LoccProtocol:
-    """Ordered rounds over named parties holding subsystem indices."""
+    """Ordered rounds over named parties holding subsystem indices.  Its
+    instruments are audited by ``simulate``, as far as branches reach them,
+    or all at once by ``audit_protocol``."""
 
     parties: dict
     rounds: list
 
-    def __init__(self, parties, rounds, check=True):
+    def __init__(self, parties, rounds):
         parties = {k: tuple(int(i) for i in v) for k, v in parties.items()}
         rounds = list(rounds)
-        if check:
-            for r in rounds:
-                if r.party not in parties:
-                    raise ValueError(f"round references unknown party {r.party}")
-                for key, ops in r.instruments.items():
-                    _check_complete(ops, what=f"round for {r.party} given {key}")
+        for r in rounds:
+            if r.party not in parties:
+                raise ValueError(f"round references unknown party {r.party}")
         object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "rounds", rounds)
 
@@ -262,7 +255,6 @@ def one_way_to_locc(protocol: OneWayProtocol, a_slots, b_slots) -> LoccProtocol:
             Round("B", {(m,): [protocol.b_ops[m]]
                         for m in range(protocol.n_outcomes)}),
         ],
-        check=False,
     )
 
 
@@ -318,6 +310,16 @@ def _audit_round(rnd, outcomes):
             f"round for {rnd.party} given {key} completeness deviates "
             f"by {dev[j]:.3e}")))
     return keys, groups, failures
+
+
+def audit_protocol(protocol: LoccProtocol):
+    """Audit every instrument of every round, reached or not, as
+    ``simulate`` audits the ones its branches reach; raises the first
+    failure, rounds in order and keys in table order."""
+    for rnd in protocol.rounds:
+        failures = _audit_round(rnd, list(rnd.instruments))[2]
+        if failures:
+            raise min(failures, key=lambda f: f[:2])[2]
 
 
 def _simulate_round(rnd, outcomes, probs, blocks, where, prune):
@@ -409,13 +411,13 @@ def _simulate_round(rnd, outcomes, probs, blocks, where, prune):
             list(zip(blk[order].tolist(), row[order].tolist())))
 
 
-def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
+def simulate(protocol: LoccProtocol, input_state: Ket,
+             prune: float = PRUNE_TOL):
     """Exhaustively enumerate all branches of a protocol on ``input_state``.
 
-    Accepts a ``LoccProtocol`` or a ``OneWayProtocol`` (the latter with the
-    sender on the leading subsystems).  Probabilities follow the Born rule;
-    branches below ``prune`` are dropped; instruments are audited for
-    completeness on every reachable conditioning, each once per round.
+    Probabilities follow the Born rule; branches below ``prune`` are
+    dropped; instruments are audited for completeness on every reachable
+    conditioning, each once per round.
 
     Each round takes the live branches in batches of one layout and one
     instrument shape, applied as one stacked matmul; amplitudes stay raw
@@ -423,11 +425,6 @@ def simulate(protocol, input_state: Ket, prune: float = PRUNE_TOL):
     Branches come out in lexicographic order of their outcome tuples, as a
     per-operator loop would produce them.
     """
-    if isinstance(protocol, OneWayProtocol):
-        na = len(protocol.a_ops[0].in_dims)
-        nb = len(protocol.b_ops[0].in_dims)
-        protocol = one_way_to_locc(protocol, range(na), range(na, na + nb))
-
     holdings = [s for v in protocol.parties.values() for s in v]
     if len(set(holdings)) != len(holdings):
         raise ValueError("parties claim overlapping subsystems")

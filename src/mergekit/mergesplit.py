@@ -289,6 +289,17 @@ def simulate_split(psi: Ket, resource_rank: int):
     return simulate(locc, inp), meta
 
 
+def verify_split(psi: Ket, resource_rank: int):
+    """Exhaustively simulate the splitting protocol; returns (worst branch
+    infidelity against psi, branch count)."""
+    branches, _ = simulate_split(psi, resource_rank)
+    # branch states on (reference, keeper, sender-out, moved, junk)
+    got = np.stack([b.state.tensor() for b in branches])
+    fid = branch_fidelities(got[:, :, :, 0, :, 0], psi.amps)
+    # np.maximum keeps a NaN, which max(0.0, nan) would read as 0.0
+    return float(np.max(np.maximum(1.0 - fid, 0.0))), len(branches)
+
+
 @dataclass(frozen=True)
 class MergeProtocol:
     """Synthesized one-way merging protocol with its register layout."""
@@ -513,7 +524,7 @@ def verify_merge_protocol(psi: Ket, proto: MergeProtocol, tol: float = 1e-8):
     branches = simulate(proto.locc(), proto.input_state(psi))
     fid = branch_fidelities([b.state.amps for b in branches],
                             proto.target_state(psi).amps)
-    worst = max(0.0, float(np.max(1.0 - fid)))
+    worst = float(np.max(np.maximum(1.0 - fid, 0.0)))   # NaN stays NaN
     return worst <= tol, worst, len(branches)
 
 

@@ -630,56 +630,58 @@ class DynamicSimulator:
     def apply(self, step):
         self.step_count += 1
         op = step["op"]
-        if op == "unitary":
-            party = step["party"]
-            pos = tuple([self.layout.pos(party, s)
-                         for s in step["slots"]])
-            if len(set(pos)) != len(pos):
-                raise ScheduleError("repeated slots in a unitary")
-            mat = np.asarray(step["matrix"], dtype=complex)
-            if mat.shape != (2 ** len(pos),) * 2:
-                raise ScheduleError("unitary size mismatch")
-            gram = mat.conj().T.dot(mat)
-            gram -= _identity(len(mat))
-            dev = np.maximum.reduce(abs(gram), axis=None)
-            if not dev <= 1e-9:
-                raise ScheduleError(
-                    f"step {self.step_count}: matrix is not unitary "
-                    f"(max |U^dag U - 1| = {dev:.3g})")
-            order, inverse = _axis_orders(self.n, pos)
-            t = self._state.transpose(order)
-            t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
-            self.state = t.transpose(inverse)
-            touched = ()
-        elif op == "measure":
-            order, inverse = _axis_orders(
-                self.n, (self.layout.pos(step["party"], step["slot"]),))
-            t = self._state.transpose(order)
-            p0 = float(_norm(t[0]) ** 2)
-            total = float(self._current_norm() ** 2)   # t's memory order
-            outcome = 0 if self.rng.random() * total < p0 else 1
-            keep = t.copy(order="K")     # t's memory layout
-            keep[1 - outcome] = 0
-            keep /= _norm(keep)
-            self.state = keep.transpose(inverse)
-            step = {**step, "outcome": outcome}
-            touched = self.layout.all_cuts
-        elif op == "send":
-            src = self.layout.pos(*step["from"])
-            dst = self.layout.pos(*step["to"])
-            if src == dst:
-                raise ScheduleError("send to the same slot")
-            order, _ = _axis_orders(self.n, (dst,))
-            if _norm(self._state.transpose(order)[1].ravel()) > 1e-9:
-                raise ScheduleError(
-                    f"step {self.step_count}: receiving slot "
-                    f"{step['to']} is not initialized")
-            # a view of the same memory: the kept norm still holds
-            self._state = self._state.swapaxes(src, dst)
-            touched = self.layout.send_cuts[self.slots[src][0],
-                                            self.slots[dst][0]]
-        else:
-            raise ScheduleError(f"unknown step {op}")
+        try:    # every ScheduleError names its step
+            if op == "unitary":
+                party = step["party"]
+                pos = tuple([self.layout.pos(party, s)
+                             for s in step["slots"]])
+                if len(set(pos)) != len(pos):
+                    raise ScheduleError("repeated slots in a unitary")
+                mat = np.asarray(step["matrix"], dtype=complex)
+                if mat.shape != (2 ** len(pos),) * 2:
+                    raise ScheduleError("unitary size mismatch")
+                gram = mat.conj().T.dot(mat)
+                gram -= _identity(len(mat))
+                dev = np.maximum.reduce(abs(gram), axis=None)
+                if not dev <= 1e-9:
+                    raise ScheduleError(
+                        "matrix is not unitary "
+                        f"(max |U^dag U - 1| = {dev:.3g})")
+                order, inverse = _axis_orders(self.n, pos)
+                t = self._state.transpose(order)
+                t = (mat @ t.reshape(len(mat), -1)).reshape(t.shape)
+                self.state = t.transpose(inverse)
+                touched = ()
+            elif op == "measure":
+                order, inverse = _axis_orders(
+                    self.n, (self.layout.pos(step["party"], step["slot"]),))
+                t = self._state.transpose(order)
+                p0 = float(_norm(t[0]) ** 2)
+                total = float(self._current_norm() ** 2)   # t's memory order
+                outcome = 0 if self.rng.random() * total < p0 else 1
+                keep = t.copy(order="K")     # t's memory layout
+                keep[1 - outcome] = 0
+                keep /= _norm(keep)
+                self.state = keep.transpose(inverse)
+                step = {**step, "outcome": outcome}
+                touched = self.layout.all_cuts
+            elif op == "send":
+                src = self.layout.pos(*step["from"])
+                dst = self.layout.pos(*step["to"])
+                if src == dst:
+                    raise ScheduleError("send to the same slot")
+                order, _ = _axis_orders(self.n, (dst,))
+                if _norm(self._state.transpose(order)[1].ravel()) > 1e-9:
+                    raise ScheduleError(
+                        f"receiving slot {step['to']} is not initialized")
+                # a view of the same memory: the kept norm still holds
+                self._state = self._state.swapaxes(src, dst)
+                touched = self.layout.send_cuts[self.slots[src][0],
+                                                self.slots[dst][0]]
+            else:
+                raise ScheduleError(f"unknown step {op}")
+        except ScheduleError as e:
+            raise ScheduleError(f"step {self.step_count}: {e}") from None
         self._check_norm()
         self._touched.append(touched)
         if touched:
@@ -826,31 +828,34 @@ def _run_on_graph(config: Configuration, schedule):
     born = np.zeros(lay.n, dtype=bool)
     adj = np.zeros((lay.n, lay.n), dtype=bool)
     for t, step in enumerate(schedule, 1):
-        if step["op"] == "send":
-            src, dst = lay.pos(*step["from"]), lay.pos(*step["to"])
-            if src == dst:
-                raise ScheduleError("send to the same slot")
-            if born[where[dst]]:
-                raise ScheduleError(f"step {t}: receiving slot "
-                                    f"{step['to']} is not initialized")
-            where[src], where[dst] = where[dst], where[src]
-            continue
-        if step["op"] != "unitary":
-            raise ScheduleError(f"step {t}: {step['op']} leaves graph states")
-        q = [where[lay.pos(step["party"], s)] for s in step["slots"]]
-        if len(set(q)) != len(q):
-            raise ScheduleError("repeated slots in a unitary")
-        mat = np.asarray(step["matrix"], dtype=complex)
-        gate = {1: H_GATE, 2: CZ_GATE}.get(len(q))
-        if gate is None or mat.shape != gate.shape or (
-                mat.tobytes() != gate.tobytes()):      # bit-equal
-            raise ScheduleError(f"step {t}: unitary is neither H nor CZ")
-        if len(q) == 1:
-            if born[q[0]]:
-                raise ScheduleError(f"step {t}: H on a born qubit")
-            born[q[0]] = True
-        elif born[q].all():    # CZ on |0> is the identity
-            adj[q[0], q[1]] = adj[q[1], q[0]] = not adj[q[0], q[1]]
+        try:    # every ScheduleError names its step
+            if step["op"] == "send":
+                src, dst = lay.pos(*step["from"]), lay.pos(*step["to"])
+                if src == dst:
+                    raise ScheduleError("send to the same slot")
+                if born[where[dst]]:
+                    raise ScheduleError(
+                        f"receiving slot {step['to']} is not initialized")
+                where[src], where[dst] = where[dst], where[src]
+                continue
+            if step["op"] != "unitary":
+                raise ScheduleError(f"{step['op']} leaves graph states")
+            q = [where[lay.pos(step["party"], s)] for s in step["slots"]]
+            if len(set(q)) != len(q):
+                raise ScheduleError("repeated slots in a unitary")
+            mat = np.asarray(step["matrix"], dtype=complex)
+            gate = {1: H_GATE, 2: CZ_GATE}.get(len(q))
+            if gate is None or mat.shape != gate.shape or (
+                    mat.tobytes() != gate.tobytes()):      # bit-equal
+                raise ScheduleError("unitary is neither H nor CZ")
+            if len(q) == 1:
+                if born[q[0]]:
+                    raise ScheduleError("H on a born qubit")
+                born[q[0]] = True
+            elif born[q].all():    # CZ on |0> is the identity
+                adj[q[0], q[1]] = adj[q[1], q[0]] = not adj[q[0], q[1]]
+        except ScheduleError as e:
+            raise ScheduleError(f"step {t}: {e}") from None
     return where, born, adj
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kidecomp import ki_decompose_tripartite
-from .locc import InfeasibleError, branch_fidelities
-from .mergesplit import merge_protocol, simulate_split
+from .locc import InfeasibleError, _check_complete
+from .mergesplit import merge_protocol, verify_split
 from .qcore import (DEFAULT_TOL, Bipartition, Ket, _rank_above,
                     schmidt_rank, singular_rank)
 from .states import max_entangled
@@ -184,16 +184,10 @@ def _verify_split_edge(phi: Ket, n_parties: int, side, rank: int) -> float:
     infidelity against the unchanged state."""
     keep = [0] + [v for v in range(1, n_parties + 1) if v not in side]
     move = list(side)
-    perm = keep + move
-    grouped = phi.permute(perm)
+    grouped = phi.permute(keep + move)
     d_keep = int(np.prod([phi.dims[i] for i in keep]))
     d_move = int(np.prod([phi.dims[i] for i in move]))
-    tri = Ket(grouped.amps, (d_keep, 1, d_move))
-    branches, meta = simulate_split(tri, rank)
-    # branch states on (keep, 1, 1, moved, junk)
-    got = np.stack([b.state.tensor() for b in branches])
-    fid = branch_fidelities(got[:, :, 0, 0, :, 0], tri.amps)
-    return max(0.0, float(np.max(1.0 - fid)))
+    return verify_split(Ket(grouped.amps, (d_keep, 1, d_move)), rank)[0]
 
 
 def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
@@ -248,7 +242,9 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
                         + [state.shape[i] for i in b_pos] + [k_res])
             new_own = [0] * len(r_pos) + [own[i] for i in b_pos] + [parent]
             pruned_total = 0.0
-            for a_op in proto.one_way.a_ops:
+            a_ops = proto.one_way.a_ops
+            _check_complete(a_ops, what="sender measurement")
+            for a_op in a_ops:
                 m = a_op.mat.reshape(d_a, k_res)  # returned rank is one
                 amp = np.einsum("ax,Raxby->Rby", m, tens, optimize=True)
                 p = float(np.linalg.norm(amp) ** 2) * prob

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .locc import LoccProtocol, ProtocolOp, Round
+from .locc import LoccProtocol, ProtocolOp, Round, audit_protocol
 from .msize import CircuitSpec, Configuration
 from .netcost import IsometrySpec, RootedTree
 from .qcore import Ket, StateError
@@ -130,7 +130,9 @@ def protocol_to_dict(proto: LoccProtocol) -> dict:
 
 
 def protocol_from_dict(d: dict) -> LoccProtocol:
-    """A protocol table of format 2, or of format 1 (no ``format`` key)."""
+    """A protocol table of format 2, or of format 1 (no ``format`` key),
+    with every instrument audited: one that no branch reaches is refused
+    too."""
     version = d.get("format", 1)
     if version not in (1, 2):
         raise StateError(f"unknown protocol table format {version!r}")
@@ -141,9 +143,11 @@ def protocol_from_dict(d: dict) -> LoccProtocol:
             key = tuple(int(x) for x in skey.split(",")) if skey else ()
             instruments[key] = [op_from_dict(o, version) for o in ops]
         rounds.append(Round(r["party"], instruments))
-    return LoccProtocol(parties={k: tuple(v)
-                                 for k, v in d["parties"].items()},
-                        rounds=rounds)
+    proto = LoccProtocol(parties={k: tuple(v)
+                                  for k, v in d["parties"].items()},
+                         rounds=rounds)
+    audit_protocol(proto)
+    return proto
 
 
 def load_protocol(path: str) -> LoccProtocol:

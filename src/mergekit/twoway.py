@@ -6,11 +6,13 @@ The receiver's three-outcome measurement makes the large-block components
 orthogonal; the sender's thirty-three-outcome measurement (conditioned on the
 receiver's outcome) then leaves a rank-three maximally entangled pair with
 the reference in every branch, which the receiver rotates into the target.
-Both protocols run through the exhaustive simulator ``locc.simulate``; the
-four two-way checks are read from its audit, its branch probabilities and
-its branches' reference-cut amplitudes.  The literal variant's zero-padded
-sender family fails that audit, so its branch checks are not run: they
-read false and its total probability is None.
+The one-ebit protocol is the general non-catalytic merge synthesis
+``mergesplit.merge_protocol``.  Both protocols run through the exhaustive
+simulator ``locc.simulate``; the four two-way checks are read from its
+audit, its branch probabilities and its branches' reference-cut
+amplitudes.  The literal variant's zero-padded sender family fails that
+audit, so its branch checks are not run: they read false and its total
+probability is None.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kidecomp import ki_decompose_tripartite
-from .locc import (CompletenessError, LoccProtocol, OneWayProtocol,
-                   ProtocolOp, Round, _extend_isometry, _shift_phase,
-                   branch_fidelities, one_way_to_locc, simulate)
+from .locc import CompletenessError, LoccProtocol, ProtocolOp, Round, simulate
+from .mergesplit import merge_protocol, verify_merge_protocol
 from .qcore import (Bipartition, Ket, conditional_entropy, random_unitary,
                     reduced_state)
 from .states import max_entangled, pauli_x, pauli_z
@@ -119,89 +120,6 @@ def _analytic_blocks(inst: SeparationInstance):
     return blocks
 
 
-def one_way_protocol(inst: SeparationInstance) -> OneWayProtocol:
-    """One-ebit protocol: teleport the qubit block, measure the cyclic
-    blocks in the computational basis, and combine coherently through a
-    Fourier measurement of the block label."""
-    blocks = _analytic_blocks(inst)
-    n_blocks = len(blocks)
-    k_total = 2
-    # per-block sender families on (block coords x resource), each padded to
-    # a common outcome count with uniform branch amplitudes
-    per_block_a, per_block_b = [], []
-    # block 0: shifted-phase basis on (coords 2, resource 2)
-    a0, b0 = [], []
-    phi2 = max_entangled(2).amps
-    for m in range(4):
-        sigma = _shift_phase(2, m)
-        a0.append((np.kron(np.eye(2), sigma) @ phi2).conj().reshape(1, 4))
-        b0.append(sigma.T)      # resource half -> merged block coords
-    per_block_a.append(a0)
-    per_block_b.append(b0)
-    for j in range(1, 4):
-        aj, bj = [], []
-        for x in range(3):
-            for w in range(2):
-                bra = np.zeros((1, 6), dtype=complex)
-                bra[0, x * 2 + w] = 1.0
-                aj.append(bra)
-                v = np.zeros((9, 3), dtype=complex)   # y -> (merged, own)
-                for y in range(3):
-                    for m in range(3):
-                        v[((x - y + m) % 3) * 3 + m, y] = 1 / np.sqrt(3)
-                bj.append((v, w))
-        per_block_a.append(aj)
-        per_block_b.append(bj)
-
-    n2 = 12  # lcm(4, 6)
-    junk = 2
-    out_b_dims = (DIM, DIM, junk)
-    d_out = DIM * DIM * junk
-    a_ops, b_ops = [], []
-    for m2 in range(n2):
-        for m3 in range(n_blocks):
-            a_mat = np.zeros((1, DIM * k_total), dtype=complex)
-            b_mat = np.zeros((d_out, DIM * k_total), dtype=complex)
-            for j, blk in enumerate(blocks):
-                n_j = len(per_block_a[j])
-                scale = 1.0 / np.sqrt((n2 // n_j) * n_blocks)
-                phase_a = np.exp(-2j * np.pi * j * m3 / n_blocks)
-                phase_b = np.exp(2j * np.pi * j * m3 / n_blocks)
-                coord = blk["grid"].conj()        # (dim_j, 11) bras
-                bra = per_block_a[j][m2 % n_j].reshape(blk["dim"], k_total)
-                term = np.einsum("ck,ca->ak", bra, coord, optimize=True)
-                a_mat[0] += scale * phase_a * term.reshape(-1)
-                b_mat += phase_b * _one_way_b_term(
-                    blk, per_block_b[j][m2 % n_j], j == 0, junk)
-            a_ops.append(ProtocolOp(a_mat, (DIM, k_total), (1,)))
-            b_ops.append(ProtocolOp(_extend_isometry(b_mat, DIM * k_total),
-                                    (DIM, k_total), out_b_dims))
-    return OneWayProtocol(a_ops, b_ops)
-
-
-def _one_way_b_term(blk, corr, is_teleport, junk):
-    """Receiver-side term of one block: map (receiver, resource half) to
-    (merged copy, receiver, junk)."""
-    dim = blk["dim"]
-    grid = blk["grid"]                  # (dim, 11) ambient vectors
-    coord = grid.conj()                 # coordinate bras
-    embed = grid.T                      # (11, dim) coordinate kets
-    out = np.zeros((DIM, DIM, junk, DIM, 2), dtype=complex)
-    if is_teleport:
-        sigma_t = corr                  # resource half -> merged coords
-        core = np.einsum("Ac,cd,By,yb->ABbd", embed, sigma_t, embed, coord,
-                         optimize=True)
-        out[:, :, 0] = core
-        return out.reshape(DIM * DIM * junk, DIM * 2)
-    v, w = corr                         # creation map, resource outcome
-    vmap = v.reshape(dim, dim, dim)     # (merged coord, own coord, y)
-    core = np.einsum("Ac,Bm,cmy,yb->ABb", embed, embed, vmap, coord,
-                     optimize=True)
-    for vbar in range(2):
-        out[:, :, vbar ^ w, :, vbar] = core
-    return out.reshape(DIM * DIM * junk, DIM * 2)
-
-
 def _coarse_structure_check(inst: SeparationInstance, psi: Ket,
                             tol: float = 1e-8) -> dict:
     """Check the state against the protocol's coarse block structure: one
@@ -231,11 +149,11 @@ def _coarse_structure_check(inst: SeparationInstance, psi: Ket,
     }
 
 
-def verify_one_way(inst: SeparationInstance, tamper: bool = False,
-                   check_ki: bool = True) -> dict:
-    """Build and exhaustively simulate the one-ebit protocol, check the
-    coarse block structure it relies on, and cross-check the refined
-    partition computed from scratch."""
+def verify_one_way(inst: SeparationInstance, tamper: bool = False) -> dict:
+    """Synthesize the one-way protocol of the instance with the general
+    non-catalytic merge, simulate it exhaustively on the instance (or on a
+    copy with its block weights swapped), and check the coarse block
+    structure against the refined partition computed from scratch."""
     psi = inst.psi
     if tamper:
         t = psi.tensor().copy()
@@ -243,39 +161,31 @@ def verify_one_way(inst: SeparationInstance, tamper: bool = False,
         t[:, 2:, 2:] *= np.sqrt(2 / 9)
         t /= np.linalg.norm(t)
         psi = Ket(t.reshape(-1), psi.dims)
-    proto = one_way_protocol(inst)
-    inp = psi.kron(max_entangled(2))
-    locc = one_way_to_locc(proto, a_slots=(1, 3), b_slots=(2, 4))
-    branches = simulate(locc, inp)
-    target = np.zeros((3, 1, DIM, DIM, 2), dtype=complex)
-    target[:, 0, :, :, 0] = psi.tensor()
-    fid = branch_fidelities([b.state.amps for b in branches], target)
-    worst = max(0.0, float(np.max(1.0 - fid)))
+    ki = ki_decompose_tripartite(inst.psi)
+    proto = merge_protocol(inst.psi, "non-catalytic", ki=ki)
+    _, worst, branches = verify_merge_protocol(psi, proto)
     structure = _coarse_structure_check(inst, psi)
-    report = {
-        "resource_rank": 2,
-        "returned_rank": 1,
-        "cost_ebits": 1.0,
-        "branches": len(branches),
-        "worst_infidelity": float(worst),
+    # the refinement procedure reaches a finer partition with the same
+    # block count and weights; record it alongside the coarse structure
+    matches = bool(np.allclose(
+        sorted(ki.probs), sorted([2 / 11, 3 / 11, 3 / 11, 3 / 11]),
+        atol=1e-9))
+    return {
+        "resource_rank": proto.resource_rank,
+        "returned_rank": proto.returned_rank,
+        "cost_ebits": proto.report.non_catalytic_cost,
+        "branches": branches,
+        "worst_infidelity": worst,
         "protocol_block_dims_right": structure["dims_right"],
         "protocol_block_probs": structure["block_probs"],
         "structure_ok": structure["ok"],
-        "pass": bool(worst <= 1e-8 and structure["ok"]),
+        "computed_partition_dims": sorted(
+            (b.dim_left, b.dim_right) for b in ki.blocks),
+        "computed_partition_probs": sorted(round(p, 9) for p in ki.probs),
+        "computed_partition_matches_weights": matches,
+        "pass": bool(worst <= 1e-8 and structure["ok"] and matches
+                     and proto.resource_rank == 2),
     }
-    if check_ki and not tamper:
-        # the refinement procedure reaches a finer partition with the same
-        # block count and weights; record it alongside the coarse structure
-        ki = ki_decompose_tripartite(inst.psi)
-        report["computed_partition_dims"] = sorted(
-            (b.dim_left, b.dim_right) for b in ki.blocks)
-        report["computed_partition_probs"] = sorted(
-            round(p, 9) for p in ki.probs)
-        report["computed_partition_matches_weights"] = bool(np.allclose(
-            sorted(ki.probs), sorted([2 / 11, 3 / 11, 3 / 11, 3 / 11]),
-            atol=1e-9))
-        report["pass"] &= report["computed_partition_matches_weights"]
-    return report
 
 
 def generic_one_way_cost(inst: SeparationInstance) -> float:
@@ -351,7 +261,7 @@ def sender_measurement(gamma2: complex, shift_power: int,
 def _run(rounds, state: Ket) -> list:
     """Simulate rounds over the parties (reference, sender, receiver); the
     simulator audits every instrument a branch reaches."""
-    return simulate(LoccProtocol(_PARTIES, rounds, check=False), state)
+    return simulate(LoccProtocol(_PARTIES, rounds), state)
 
 
 def two_way_protocol(gamma2: complex, shifts: dict,
@@ -364,7 +274,7 @@ def two_way_protocol(gamma2: complex, shifts: dict,
     sender = {(j,): sender_measurement(gamma2, p, literal and j > 0)
               for j, p in {0: 0, **shifts}.items()}
     return LoccProtocol(_PARTIES, [Round("B", {(): receiver_measurement()}),
-                                   Round("A", sender)], check=False)
+                                   Round("A", sender)])
 
 
 def _reference_grams(branches) -> np.ndarray:

@@ -162,7 +162,7 @@ _TWOWAY_STDOUT = (
     'true}, "command": "twoway", "inputs": {}, "provenance": '
     '"one-shot-communication-separation", "results": '
     '{GAMMAS"generic_block_cost": 1.584962500721156, "one_way": {"branches": '
-    '48, "computed_partition_dims": [[1, 2], [3, 1], [3, 1], [3, 1]], '
+    '96, "computed_partition_dims": [[1, 2], [3, 1], [3, 1], [3, 1]], '
     '"computed_partition_matches_weights": true, '
     '"computed_partition_probs": [0.181818182, 0.272727273, '
     '0.272727273, 0.272727273], "cost_ebits": 1.0, "pass": true, '
@@ -431,6 +431,54 @@ def test_merge_protocol_save_and_resimulate(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert abs(rep["results"]["total_probability"] - 1) < 1e-7
+
+
+def test_merge_protocol_save_refuses_an_incomplete_table(
+        tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import mergekit.cli as cli
+    from mergekit.locc import OneWayProtocol
+
+    real = cli.merge_protocol
+
+    def short_sender(*args, **kwargs):
+        proto = real(*args, **kwargs)
+        one = proto.one_way
+        return dataclasses.replace(proto, one_way=OneWayProtocol(
+            one.a_ops[:-1], one.b_ops[:-1]))
+
+    monkeypatch.setattr(cli, "merge_protocol", short_sender)
+    spath = str(tmp_path / "g.json")
+    _run(["example", "ghz:3:2", "-o", spath], capsys)
+    ppath = tmp_path / "proto.json"
+    code, out, err = _run(["merge-protocol", spath, "--save", str(ppath)],
+                          capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: round for A given () completeness deviates by" in err
+    assert not ppath.exists()
+
+
+def test_simulate_refuses_a_table_with_an_unreached_incomplete_instrument(
+        tmp_path, capsys):
+    from mergekit.locc import one_way_to_locc, simulate, teleport_protocol
+
+    proto = one_way_to_locc(teleport_protocol(2), (0, 1), (2,))
+    # receiver key (7,) follows no sender outcome: no branch reaches it
+    proto.rounds[1].instruments[(7,)] = [
+        ProtocolOp(0.5 * np.eye(2), (2,), (2,))]
+    inp = Ket(np.kron([1, 0], states.max_entangled(2).amps), (2, 2, 2))
+    assert len(simulate(proto, inp)) == 4
+    ppath = tmp_path / "table.json"
+    ppath.write_text(json.dumps(serialize.protocol_to_dict(proto)))
+    spath = str(tmp_path / "in.json")
+    serialize.save_ket(inp, spath)
+    code, out, err = _run(["simulate", str(ppath), spath], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: round for B given (7,) completeness deviates by 7.500e-01")
 
 
 def _per_element_pair(z):

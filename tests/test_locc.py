@@ -10,6 +10,7 @@ from mergekit.locc import (
     OneWayProtocol,
     ProtocolOp,
     Round,
+    audit_protocol,
     branch_fidelity,
     distill_to_max_entangled,
     majorizes,
@@ -94,7 +95,7 @@ def test_teleport_qubit_identity():
     proto = teleport_protocol(2)
     psi = random_ket([2], RNG)
     inp = Ket(np.kron(psi.amps, states.max_entangled(2).amps), (2, 2, 2))
-    branches = simulate(proto, inp)
+    branches = simulate(one_way_to_locc(proto, (0, 1), (2,)), inp)
     assert len(branches) == 4
     for b in branches:
         assert abs(b.prob - 0.25) < 1e-10
@@ -105,7 +106,7 @@ def test_teleport_qutrit_identity():
     proto = teleport_protocol(3)
     psi = random_ket([3], RNG)
     inp = Ket(np.kron(psi.amps, states.max_entangled(3).amps), (3, 3, 3))
-    branches = simulate(proto, inp)
+    branches = simulate(one_way_to_locc(proto, (0, 1), (2,)), inp)
     assert len(branches) == 9
     for b in branches:
         assert abs(b.prob - 1 / 9) < 1e-10
@@ -136,7 +137,7 @@ def test_born_rule_probabilities():
     psi = random_ket([2], RNG)
     inp = Ket(np.kron(psi.amps, states.max_entangled(2).amps), (2, 2, 2))
     amp_input = inp.amps
-    for m, b in enumerate(simulate(proto, inp)):
+    for m, b in enumerate(simulate(one_way_to_locc(proto, (0, 1), (2,)), inp)):
         op = proto.a_ops[m]
         full = np.kron(op.mat, np.eye(2))
         expect = np.linalg.norm(full @ amp_input) ** 2
@@ -146,13 +147,13 @@ def test_born_rule_probabilities():
 def test_incomplete_instrument_rejected():
     bad = [ProtocolOp(np.eye(2) * 0.5, (2,), (2,))]
     with pytest.raises(CompletenessError):
-        LoccProtocol({"A": (0,)}, [Round("A", {(): bad})])
+        audit_protocol(LoccProtocol({"A": (0,)}, [Round("A", {(): bad})]))
 
 
 def test_distill_identity_on_maximally_entangled():
     src = states.max_entangled(2)
     proto = distill_to_max_entangled(src, 2)
-    branches = simulate(proto, src)
+    branches = simulate(one_way_to_locc(proto, (0,), (1,)), src)
     target = states.max_entangled(2)
     for b in branches:
         # output register pair (2), (2, junk); junk stays |0>
@@ -169,7 +170,7 @@ def test_distill_three_coefficient_source():
         amps[i * 3 + i] = c
     src = Ket(amps, (3, 3))
     proto = distill_to_max_entangled(src, 2)
-    branches = simulate(proto, src)
+    branches = simulate(one_way_to_locc(proto, (0,), (1,)), src)
     assert sum(b.prob for b in branches) > 1 - 1e-9
     target = states.max_entangled(2)
     for b in branches:
@@ -220,7 +221,7 @@ def test_distill_random_feasible_sources():
         src = Ket(amps, (n, n))
         proto = distill_to_max_entangled(src, L)
         target = states.max_entangled(L)
-        for b in simulate(proto, src):
+        for b in simulate(one_way_to_locc(proto, (0,), (1,)), src):
             t = b.state.tensor()
             flat = Ket(t[:, :, 0].reshape(-1), (L, L), normalized=False)
             assert np.linalg.norm(t[:, :, 1:]) < 1e-8
@@ -274,7 +275,8 @@ def test_distill_branches_are_uniform():
     for src, L in _distill_sources():
         n = len(np.flatnonzero(np.linalg.svd(
             src.tensor(), compute_uv=False) > 1e-9))
-        branches = simulate(distill_to_max_entangled(src, L), src)
+        branches = simulate(one_way_to_locc(
+            distill_to_max_entangled(src, L), (0,), (1,)), src)
         assert len(branches) == n
         assert np.allclose([b.prob for b in branches], 1 / n, atol=1e-12)
         target = states.max_entangled(L)
@@ -562,7 +564,7 @@ def test_incomplete_instrument_on_one_branch_is_named():
     short = dict(rounds[1].instruments)
     short[(2,)] = short[(2,)][:1]            # reached only by branch (2,)
     proto = LoccProtocol({"A": (1,), "B": (2,)},
-                         [rounds[0], Round("B", short)], check=False)
+                         [rounds[0], Round("B", short)])
     with pytest.raises(CompletenessError, match=r"given \(2,\)"):
         simulate(proto, random_ket([2, 2, 3], RNG))
     # the first failing key in branch order is named, whichever kind of
@@ -571,14 +573,21 @@ def test_incomplete_instrument_on_one_branch_is_named():
     bad[(0,)] = [ProtocolOp(0.5 * np.eye(3), (3,), (3,))]
     bad[(1,)] = bad[(1,)][:2]
     proto = LoccProtocol({"A": (1,), "B": (2,)},
-                         [rounds[0], Round("B", bad)], check=False)
+                         [rounds[0], Round("B", bad)])
     with pytest.raises(CompletenessError, match=r"given \(0,\)"):
         simulate(proto, random_ket([2, 2, 3], RNG))
-    # an instrument no branch reaches is not audited: outcome 2 is pruned
+    with pytest.raises(CompletenessError, match=r"given \(0,\)"):
+        audit_protocol(proto)
+    # an instrument no branch reaches is not audited by the simulator:
+    # outcome 2 is pruned; the whole-table audit refuses it all the same
     inp = Ket(np.kron([1, 0, 0, 0], random_ket([3], RNG).amps), (2, 2, 3))
-    assert [b.outcomes for b in simulate(
-        LoccProtocol({"A": (1,), "B": (2,)}, [rounds[0], Round("B", short)],
-                     check=False), inp)] == [(0, 0), (1, 0), (1, 1), (1, 2)]
+    proto = LoccProtocol({"A": (1,), "B": (2,)},
+                         [rounds[0], Round("B", short)])
+    assert [b.outcomes for b in simulate(proto, inp)] == [
+        (0, 0), (1, 0), (1, 1), (1, 2)]
+    with pytest.raises(CompletenessError, match=r"given \(2,\)"):
+        audit_protocol(proto)
+    audit_protocol(LoccProtocol({"A": (1,), "B": (2,)}, rounds))
 
 
 def test_simulate_builds_one_ket_per_returned_branch(monkeypatch):
@@ -597,6 +606,7 @@ def test_simulate_builds_one_ket_per_returned_branch(monkeypatch):
     branches = simulate(proto, inp)
     assert len(calls) == len(branches)
     calls.clear()
-    teleported = simulate(teleport_protocol(3), random_ket([3], RNG).kron(
-        states.max_entangled(3)))
+    teleported = simulate(
+        one_way_to_locc(teleport_protocol(3), (0, 1), (2,)),
+        random_ket([3], RNG).kron(states.max_entangled(3)))
     assert len(calls) == len(teleported) + 2      # the two input kets

@@ -21,6 +21,7 @@ from mergekit.mergesplit import (
     simulate_split,
     split_min_cost,
     verify_merge_protocol,
+    verify_split,
 )
 from mergekit.qcore import Bipartition, Ket, random_ket, reduced_state, schmidt_rank
 
@@ -87,6 +88,62 @@ def test_split_protocol_oversized_resource():
         assert np.linalg.norm(t[..., 1:]) < 1e-8
         got = Ket(t[:, :, 0, :, 0].reshape(-1), psi.dims, normalized=False)
         assert branch_fidelity(got, psi) > 1 - 1e-10
+
+
+def test_verify_split_reads_the_branch_layout():
+    # worst infidelity and branch count of the (reference, keeper,
+    # sender-out, moved, junk) branches against psi, as a per-branch loop
+    # over simulate_split reads them
+    rng = np.random.default_rng(1)
+    for dims, rank in (([2, 2, 3], 3), ([2, 2, 2], 3), ([3, 1, 2], 2)):
+        psi = random_ket(dims, rng)
+        worst, count = verify_split(psi, rank)
+        branches, _ = simulate_split(psi, rank)
+        assert count == len(branches)
+        fid = np.array([branch_fidelity(Ket(
+            b.state.tensor()[:, :, 0, :, 0].reshape(-1), psi.dims,
+            normalized=False), psi) for b in branches])
+        assert np.isfinite(fid).all()
+        assert abs(worst - max(0.0, np.max(1 - fid))) < 1e-15
+        assert worst < 1e-10
+
+
+def test_verifying_a_merge_audits_its_sender_family_once(monkeypatch):
+    import mergekit.locc as locc
+
+    calls = []
+    real = locc._check_complete
+
+    def counting(ops, *args, **kwargs):
+        calls.append(ops)
+        return real(ops, *args, **kwargs)
+
+    monkeypatch.setattr(locc, "_check_complete", counting)
+    psi = states.generate_example("ex2")
+    proto = merge_protocol(psi, "non-catalytic")
+    ok, _, _ = verify_merge_protocol(psi, proto)
+    assert ok
+    assert sum(ops is proto.one_way.a_ops for ops in calls) == 1
+
+
+def test_a_nan_branch_fidelity_fails_the_merge_and_split_checks(
+        monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN infidelity must not read as exact
+    import mergekit.mergesplit as ms
+
+    real = ms.branch_fidelities
+
+    def one_nan(*args):
+        fid = real(*args)
+        fid[-1] = np.nan
+        return fid
+
+    monkeypatch.setattr(ms, "branch_fidelities", one_nan)
+    psi = states.ghz(3, 2)
+    ok, worst, _ = verify_merge_protocol(psi, merge_protocol(psi))
+    assert not ok and np.isnan(worst)
+    worst, _ = verify_split(psi, 2)
+    assert np.isnan(worst) and not worst < 1e-8
 
 
 def test_split_infeasible():

@@ -448,19 +448,46 @@ def test_resource_preparation_refuses_what_the_graph_cannot_follow(
         (head + [send((4, 1), (4, 0))],
          "step 4: receiving slot (4, 0) is not initialized"),
         (head + [send((4, 1), (8, 1))],
-         "party 8 slot 1 outside the configuration"),
+         "step 4: party 8 slot 1 outside the configuration"),
         (head + [{**h, "party": 9}],
-         "party 9 slot 0 outside the configuration"),
+         "step 4: party 9 slot 0 outside the configuration"),
         (head + [{**_cz(4), "slots": [1, 1]}],
-         "repeated slots in a unitary"),
-        (head + [send((4, 1), (4, 1))], "send to the same slot"),
+         "step 4: repeated slots in a unitary"),
+        (head + [send((4, 1), (4, 1))], "step 4: send to the same slot"),
     ]
     for bad, message in graph_only + both:
-        with pytest.raises(ScheduleError, match=re.escape(message)):
+        with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
             _verify_schedule(monkeypatch, bad)
     for bad, message in both:
-        with pytest.raises(ScheduleError, match=re.escape(message)):
+        with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
             dynamic_simulate(CONFIG_D0, bad)
+
+
+def test_every_schedule_error_names_its_step():
+    h = {"op": "unitary", "party": 1, "slots": [0], "matrix": msize.H_GATE}
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    cases = [
+        ({**h, "party": 9}, "party 9 slot 0 outside the configuration"),
+        ({**h, "slots": [0, 0]}, "repeated slots in a unitary"),
+        ({**h, "matrix": np.eye(4)}, "unitary size mismatch"),
+        ({**h, "matrix": np.diag([1.0, 2.0])},
+         "matrix is not unitary (max |U^dag U - 1| = 3)"),
+        ({"op": "measure", "party": 5, "slot": 0},
+         "party 5 slot 0 outside the configuration"),
+        ({"op": "send", "from": (1, 0), "to": (1, 0)},
+         "send to the same slot"),
+        ({"op": "send", "from": (1, 0), "to": (2, 0)},
+         "receiving slot (2, 0) is not initialized"),
+        ({"op": "send", "from": (1, 0), "to": (2, 3)},
+         "party 2 slot 3 outside the configuration"),
+        ({"op": "swap"}, "unknown step swap"),
+    ]
+    # step 2 occupies party 2's slot, so a send into it is refused
+    head = [{**h, "matrix": x}, {**h, "party": 2, "matrix": x}]
+    for bad, message in cases:
+        with pytest.raises(ScheduleError,
+                           match=f"^{re.escape('step 3: ' + message)}$"):
+            dynamic_simulate(CONFIG_D1, head + [bad])
 
 
 def test_resource_preparation_never_builds_the_amplitudes(monkeypatch):

@@ -189,6 +189,26 @@ def test_concentrating_final_check_builds_no_ket(monkeypatch):
     assert len(calls) == after_synthesis[-1]
 
 
+def test_concentrating_audits_each_sender_measurement(monkeypatch):
+    import dataclasses
+
+    import mergekit.netcost as netcost
+    from mergekit.locc import CompletenessError, OneWayProtocol
+
+    real = netcost.merge_protocol
+
+    def short_sender(*args, **kwargs):
+        proto = real(*args, **kwargs)
+        one = proto.one_way
+        return dataclasses.replace(proto, one_way=OneWayProtocol(
+            one.a_ops[:-1], one.b_ops[:-1]))
+
+    monkeypatch.setattr(netcost, "merge_protocol", short_sender)
+    with pytest.raises(CompletenessError,
+                       match="sender measurement completeness deviates"):
+        concentrating_simulate(star_tree(), star_isometry())
+
+
 def test_spreading_identity_embedding_all_zero():
     # everything stays at the root: every child-side reduced state is pure
     t = RootedTree(3, {2: 1, 3: 1})

@@ -71,7 +71,9 @@ def test_one_way_verification():
     rep = verify_one_way(inst)
     assert rep["pass"]
     assert rep["resource_rank"] == 2
+    assert rep["returned_rank"] == 1
     assert rep["cost_ebits"] == 1.0
+    assert rep["branches"] == 96
     assert rep["worst_infidelity"] < 1e-8
     assert rep["protocol_block_dims_right"] == [2, 3, 3, 3]
     assert np.allclose(sorted(rep["protocol_block_probs"]),
@@ -182,5 +184,5 @@ def test_two_way_near_excluded_parameters():
     inst = build_instance(g1, g2)
     rep = verify_two_way(inst)
     assert rep["pass"]
-    one = verify_one_way(inst, check_ki=False)
+    one = verify_one_way(inst)
     assert one["worst_infidelity"] < 1e-8
