@@ -264,23 +264,24 @@ def cmd_twoway(args):
                    "one-shot-communication-separation")
 
 
+def _edge_costs(costs):
+    return [{"edge": list(e.edge), "rank": e.rank, "log2": e.log2}
+            for e in costs]
+
+
 def cmd_net(args):
     tree = serialize.load_tree(args.tree)
     results = {}
     checks = {}
     if args.action == "construct":
         ket = serialize.load_ket(args.code)
-        costs = netcost.construction_costs(tree, ket)
-        results["edge_costs"] = [
-            {"edge": list(e.edge), "rank": e.rank, "log2": e.log2}
-            for e in costs]
+        results["edge_costs"] = _edge_costs(
+            netcost.construction_costs(tree, ket))
     else:
         iso = serialize.load_isometry(args.code)
         if args.action == "spread":
-            costs = netcost.spreading_costs(tree, iso)
-            results["edge_costs"] = [
-                {"edge": list(e.edge), "rank": e.rank, "log2": e.log2}
-                for e in costs]
+            results["edge_costs"] = _edge_costs(
+                netcost.spreading_costs(tree, iso))
             if args.simulate:
                 rep = netcost.spreading_protocol(tree, iso)
                 results["total_branches"] = rep["total_branches"]
@@ -288,9 +289,7 @@ def cmd_net(args):
                 checks["all_branches_exact"] = rep["pass"]
         else:
             rep = netcost.concentrating_simulate(tree, iso)
-            results["edge_costs"] = [
-                {"edge": list(e.edge), "rank": e.rank, "log2": e.log2}
-                for e in rep["edge_costs"]]
+            results["edge_costs"] = _edge_costs(rep["edge_costs"])
             results["branches"] = rep["branches"]
             results["worst_deviation"] = rep["worst_deviation"]
             checks["all_branches_exact"] = rep["pass"]
@@ -469,7 +468,8 @@ def run(argv) -> int:
     try:
         report = args.func(args)
     except (StateError, InfeasibleError, CompletenessError, MaximalityError,
-            ValueError, OSError, json.JSONDecodeError, KeyError) as e:
+            netcost.BranchCapError, ValueError, OSError, json.JSONDecodeError,
+            KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     report["seed"] = args.seed

@@ -171,7 +171,7 @@ def _isometry_deviation(mats) -> np.ndarray:
     return dev
 
 
-def _check_complete(ops, tol=COMPLETENESS_TOL, what="instrument"):
+def _check_complete(ops, what, tol=COMPLETENESS_TOL):
     """Audit sum_m M_m^dag M_m = 1 for an instrument.
 
     Returns the operators stacked per (in_dims, out_dims) group, in order of

@@ -8,16 +8,16 @@ remainder.  Both are simulated exhaustively branch by branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kidecomp import ki_decompose_tripartite
-from .locc import InfeasibleError, _check_complete
+from .locc import (PRUNE_TOL, InfeasibleError, Round, _op_views,
+                   _simulate_round)
 from .mergesplit import merge_protocol, verify_split
 from .qcore import (DEFAULT_TOL, Bipartition, Ket, _rank_above,
                     schmidt_rank, singular_rank)
-from .states import max_entangled
 
 BRANCH_CAP = 10 ** 5
 
@@ -50,19 +50,12 @@ class RootedTree:
     def edges(self):
         return [(self.parent[k], k) for k in range(2, self.n + 1)]
 
-    def children(self, k):
-        return [c for c, p in self.parent.items() if p == k]
-
     def descendants_and_self(self, k):
-        out = {k}
-        changed = True
-        while changed:
-            changed = False
-            for c, p in self.parent.items():
-                if p in out and c not in out:
-                    out.add(c)
-                    changed = True
-        return sorted(out)
+        out = [k]
+        for c in range(k + 1, self.n + 1):    # parent(c) < c
+            if self.parent[c] in out:
+                out.append(c)
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ def spreading_costs(tree: RootedTree, iso: IsometrySpec) -> list:
     phi = iso.encoded_max_entangled()
     out = []
     for (p, k) in tree.edges():
-        side = [v for v in tree.descendants_and_self(k)]
+        side = tree.descendants_and_self(k)
         cut = Bipartition([0] + [v for v in range(1, tree.n + 1)
                                  if v not in side], side)
         rank = schmidt_rank(phi, cut)
@@ -196,92 +189,81 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
     exhaustively over branches; per-edge cost is the maximum resource rank
     over reached branches.
 
-    Only the sender-side measurements are applied during the walk; the
-    matching receiver isometries are deferred to the root, so the recursion
-    tracks raw post-measurement states whose shares the root can recreate.
-    The final check is that every branch ends maximally entangled between
-    the reference and the root's holdings at the logical rank.
+    Each level k is one round of the LOCC simulator, keyed by branch: party
+    k applies its branch's sender measurement with the fresh resource pair
+    folded in, and the resource half it leaves becomes its parent's
+    register.  The matching receiver isometries are deferred to the root,
+    so the recursion tracks raw post-measurement states whose shares the
+    root can recreate.  The final check is that every branch ends
+    maximally entangled between the reference and the root's holdings at
+    the logical rank.
     """
     if len(iso.dims) != tree.n:
         raise ValueError("one subsystem per party required")
     phi = iso.encoded_max_entangled()
     d_log = iso.logical_dim
-    # branch: (amplitude tensor, prob, owners); factor 0 is the reference
-    branches = [(phi.tensor(), 1.0, [0] + list(range(1, tree.n + 1)))]
-    edge_rank = {e: 1 for e in tree.edges()}
+    # the simulator's branch blocks; factor 0, owned by 0, is the reference
+    outcomes, probs, where = [()], np.ones(1), [(0, 0)]
+    blocks = [(phi.amps[None], phi.dims, tuple(range(tree.n + 1)))]
+    edge_rank = {}
     audit_ok = True
     for k in range(tree.n, 1, -1):
-        edge = (tree.parent[k], k)
-        parent = tree.parent[k]
-        new_branches = []
-        for (state, prob, own) in branches:
-            r_pos = [i for i, o in enumerate(own) if o == 0]
-            a_pos = [i for i, o in enumerate(own) if o == k]
-            b_pos = [i for i, o in enumerate(own) if o not in (0, k)]
-            d_r = int(np.prod([state.shape[i] for i in r_pos]))
-            d_a = int(np.prod([state.shape[i] for i in a_pos]))
-            d_b = int(np.prod([state.shape[i] for i in b_pos]))
-            tri = Ket(np.transpose(state, r_pos + a_pos + b_pos).reshape(-1),
-                      (d_r, d_a, d_b))
-            ki = ki_decompose_tripartite(tri)
-            proto = merge_protocol(tri, "non-catalytic", ki=ki,
-                                   sender_only=True)
+        views = [_tripartite(*blk, k) for blk in blocks]
+        instruments, pair_ranks, n_children = {}, [], 0
+        for o, (b, row) in zip(outcomes, where):
+            tri, a_dims = views[b]
+            proto = merge_protocol(Ket(tri[row], tri.shape[1:]),
+                                   "non-catalytic", sender_only=True)
             k_res = proto.resource_rank
-            edge_rank[edge] = max(edge_rank[edge], k_res)
-            tens = np.einsum("Rab,xy->Raxby", tri.tensor(),
-                             max_entangled(k_res).amps.reshape(k_res, k_res),
-                             optimize=True)
-            if audit_cuts:
-                # the fresh resource pair raises the measured party's cut
-                # by its rank
-                before = {v: r * k_res for v, r in
-                          _party_cut_ranks(state, own, tree.n).items()}
-            # remaining factors: reference, group, resource half at the
-            # parent; drop the trivial sender output register
-            new_dims = ([state.shape[i] for i in r_pos]
-                        + [state.shape[i] for i in b_pos] + [k_res])
-            new_own = [0] * len(r_pos) + [own[i] for i in b_pos] + [parent]
-            pruned_total = 0.0
-            a_ops = proto.one_way.a_ops
-            _check_complete(a_ops, what="sender measurement")
-            for a_op in a_ops:
-                m = a_op.mat.reshape(d_a, k_res)  # returned rank is one
-                amp = np.einsum("ax,Raxby->Rby", m, tens, optimize=True)
-                p = float(np.linalg.norm(amp) ** 2) * prob
-                if p < 1e-12:
-                    continue
-                pruned_total += p
-                flat = amp.reshape(d_r, d_b, k_res)
-                new_state = (flat / np.linalg.norm(flat)).reshape(new_dims)
-                if audit_cuts and audit_ok:
-                    after = _party_cut_ranks(new_state, new_own, tree.n)
-                    audit_ok = all(after[v] <= cap for v, cap in before.items()
-                                   if v in after)
-                new_branches.append((new_state, p, new_own))
-            if abs(pruned_total - prob) > 1e-7:
-                raise RuntimeError("branch probabilities failed to close")
-            if len(new_branches) > BRANCH_CAP:
-                raise BranchCapError(
-                    f"branch count {len(new_branches)} exceeds {BRANCH_CAP}")
-        branches = new_branches
+            a_ops = proto.one_way.a_ops     # returned rank is one
+            a = np.stack([op.mat for op in a_ops]).reshape(
+                len(a_ops), tri.shape[2], k_res)
+            # A_m reads party k's registers and one half of |Phi_K>; with
+            # the pair folded in, F_m[y, a] = A_m[a, y] / sqrt(K) leaves
+            # the other half y as the new register
+            instruments[o] = _op_views(
+                a.transpose(0, 2, 1) / np.sqrt(k_res), a_dims, (k_res,))
+            pair_ranks.append(k_res)
+            n_children += len(a_ops)
+            if n_children > BRANCH_CAP:
+                raise BranchCapError(f"branch count of merging party {k} "
+                                     f"exceeds {BRANCH_CAP}")
+        edge_rank[tree.parent[k], k] = max(pair_ranks)
+        if audit_cuts and audit_ok:
+            # the fresh resource pair raises the measured party's cut by
+            # its rank
+            before = {v: r * np.array(pair_ranks)
+                      for v, r in _cut_ranks(blocks, where).items()}
+        index = {o: i for i, o in enumerate(outcomes)}
+        new_outcomes, new_probs, blocks, where = _simulate_round(
+            Round(k, instruments), outcomes, probs, blocks, where,
+            PRUNE_TOL)
+        parents = np.array([index[o[:-1]] for o in new_outcomes], dtype=int)
+        if np.any(np.abs(np.bincount(parents, new_probs, len(outcomes))
+                         - probs) > 1e-7):
+            raise RuntimeError("branch probabilities failed to close")
+        blocks = [(amps, dims, tuple(tree.parent[k] if o == k else o
+                                     for o in owners))
+                  for amps, dims, owners in blocks]
+        outcomes, probs = new_outcomes, new_probs
+        if audit_cuts and audit_ok:
+            audit_ok = all(np.all(r <= before[v][parents]) for v, r in
+                           _cut_ranks(blocks, where).items())
     # all information now flows to the root; recover the logical pair from
-    # the reference cut's spectra, one batched svd per branch shape
-    by_shape = {}
-    for (state, _, _) in branches:
-        by_shape.setdefault(state.shape, []).append(state)
+    # the reference cut's spectra, one batched svd per block
     worst = 0.0
-    for shape, same in by_shape.items():
-        s = np.linalg.svd(np.reshape(same, (len(same), shape[0], -1)),
+    for amps, dims, _ in blocks:
+        s = np.linalg.svd(amps.reshape(len(amps), dims[0], -1),
                           compute_uv=False)
         rank = _rank_above(s, DEFAULT_TOL)
-        dev = np.ones(len(same))
+        dev = np.ones(len(amps))
         ok = rank == d_log
         dev[ok] = np.abs(s[ok, :d_log] - 1 / np.sqrt(d_log)).max(axis=1)
         worst = max(worst, float(dev.max()))
     out = {
         "edge_costs": [EdgeCost(edge=e, rank=edge_rank[e])
                        for e in tree.edges()],
-        "branches": len(branches),
+        "branches": len(outcomes),
         "worst_deviation": worst,
         "pass": bool(worst <= 1e-8),
     }
@@ -290,19 +272,35 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
     return out
 
 
-def _party_cut_ranks(state: np.ndarray, own, n_parties: int) -> dict:
-    """Schmidt rank of an amplitude tensor across every cut between one
-    party's factors and the rest, for parties holding some but not all."""
-    ranks = {}
-    for v in range(1, n_parties + 1):
-        mine = [i for i, o in enumerate(own) if o == v]
-        if not mine or len(mine) == state.ndim:
-            continue
-        rest = [i for i in range(state.ndim) if i not in mine]
-        d_mine = int(np.prod([state.shape[i] for i in mine]))
-        ranks[v] = singular_rank(
-            np.transpose(state, mine + rest).reshape(d_mine, -1))
-    return ranks
+def _tripartite(amps, dims, owners, k):
+    """A block's branches as (n, reference, party k, the rest) amplitude
+    stacks, with party k's factor dims; the reference is factor 0."""
+    a_pos = [i for i, o in enumerate(owners) if o == k]
+    b_pos = [i for i, o in enumerate(owners) if o not in (0, k)]
+    t = np.transpose(amps.reshape((len(amps),) + dims),
+                     [0, 1] + [1 + i for i in a_pos + b_pos])
+    a_dims = tuple(dims[i] for i in a_pos)
+    return t.reshape(len(amps), dims[0], math.prod(a_dims), -1), a_dims
+
+
+def _cut_ranks(blocks, where) -> dict:
+    """Per party, the Schmidt rank of every branch across the cut between
+    the party's factors and the rest, one batched svd per block."""
+    per_block = []
+    for amps, dims, owners in blocks:
+        t = amps.reshape((len(amps),) + dims)
+        ranks = {}
+        for v in set(owners) - {0}:
+            mine = [i for i, o in enumerate(owners) if o == v]
+            rest = [i for i in range(len(dims)) if i not in mine]
+            d_mine = math.prod(dims[i] for i in mine)
+            ranks[v] = singular_rank(np.transpose(
+                t, [0] + [1 + i for i in mine + rest]).reshape(
+                    len(amps), d_mine, -1))
+        per_block.append(ranks)
+    # every block of one level has the same owners
+    return {v: np.array([per_block[b][v][row] for b, row in where])
+            for v in per_block[0]}
 
 
 def star_tree() -> RootedTree:

@@ -233,6 +233,25 @@ def test_net_cli(tmp_path, capsys):
     assert [e["log2"] for e in rep["results"]["edge_costs"]] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("argv", [["spread", "--simulate"],
+                                  ["concentrate"]])
+def test_net_at_the_branch_cap_is_an_input_error(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    from mergekit import netcost
+
+    tpath = tmp_path / "tree.json"
+    tpath.write_text(json.dumps(serialize.tree_to_dict(netcost.star_tree())))
+    cpath = tmp_path / "code.json"
+    cpath.write_text(json.dumps(
+        [serialize.ket_to_dict(k) for k in netcost.star_isometry().code_kets]))
+    monkeypatch.setattr(netcost, "BRANCH_CAP", 3)
+    code, out, err = _run(["net", argv[0], str(tpath), str(cpath)]
+                          + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: branch count") and err.endswith(
+        "exceeds 3\n")
+
+
 def test_net_construct_cli(tmp_path, capsys):
     from mergekit.netcost import line_tree
 

@@ -163,6 +163,24 @@ def test_concentrating_bounded_by_spreading_random():
             assert cc["rank_audit_ok"]
 
 
+def test_concentrating_on_an_inner_vertex_with_two_children():
+    # party 2 receives registers from both leaves before it merges; the
+    # ranks and branch count are pinned
+    def ket(*terms):
+        v = np.zeros(16, dtype=complex)
+        for amp, bits in terms:
+            v[int(bits, 2)] = amp
+        return Ket(v / np.linalg.norm(v), (2, 2, 2, 2))
+
+    iso = IsometrySpec([ket((1, "0010"), (-1, "0011"), (1, "1111")),
+                        ket((2, "0000"), (-1, "0100"), (1, "1110"))])
+    t = RootedTree(4, {2: 1, 3: 2, 4: 2})
+    cc = concentrating_simulate(t, iso, audit_cuts=True)
+    assert cc["pass"] and cc["rank_audit_ok"]
+    assert [e.rank for e in cc["edge_costs"]] == [2, 2, 2]
+    assert cc["branches"] == 1024
+
+
 def test_concentrating_final_check_builds_no_ket(monkeypatch):
     # branches are raw amplitude tensors: after the last synthesis, neither
     # the walk nor the final spectrum check constructs a Ket
@@ -205,7 +223,7 @@ def test_concentrating_audits_each_sender_measurement(monkeypatch):
 
     monkeypatch.setattr(netcost, "merge_protocol", short_sender)
     with pytest.raises(CompletenessError,
-                       match="sender measurement completeness deviates"):
+                       match=r"round for 3 given \(\) completeness deviates"):
         concentrating_simulate(star_tree(), star_isometry())
 
 
