@@ -5,33 +5,21 @@ summary on stderr, exit code 0 when all checks pass, 1 on a failed check,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import msize, netcost, serialize, states, twoway
-from .kidecomp import (MaximalityError, ki_decompose_tripartite,
-                       maximality_check)
-from .locc import (CompletenessError, InfeasibleError, audit_protocol,
-                   simulate)
-from .mergesplit import (
-    merge_converse_search,
-    merge_cost_catalytic,
-    merge_cost_noncatalytic,
-    merge_protocol,
-    split_min_cost,
-    verify_merge_protocol,
-    verify_split,
-)
-from .qcore import Ket, StateError, reduced_state
+from . import serialize
+from .qcore import BranchCapError, Ket, MaximalityError, reduced_state
 
 SCHEMA = "mergekit-report/1"
 
 
 def _sha256(path):
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         h.update(f.read())
@@ -115,6 +103,8 @@ def _parse_complex(text, option):
 
 
 def cmd_example(args):
+    from . import states
+
     ket = states.generate_example(args.name)
     path = args.output or (args.name.replace(":", "-") + ".json")
     serialize.save_ket(ket, path)
@@ -129,6 +119,8 @@ def cmd_example(args):
 
 
 def cmd_ki(args):
+    from .kidecomp import ki_decompose_tripartite, maximality_check
+
     tri = _load_tripartite(args)
     ki = ki_decompose_tripartite(tri)
     resid = ki.reassembly_residual()
@@ -146,6 +138,9 @@ def cmd_ki(args):
 
 
 def cmd_merge_cost(args):
+    from .kidecomp import ki_decompose_tripartite
+    from .mergesplit import merge_cost_catalytic, merge_cost_noncatalytic
+
     tri = _load_tripartite(args)
     ki = ki_decompose_tripartite(tri)
     if args.catalytic:
@@ -167,6 +162,9 @@ def cmd_merge_cost(args):
 
 
 def cmd_merge_protocol(args):
+    from .locc import audit_protocol
+    from .mergesplit import merge_protocol, verify_merge_protocol
+
     tri = _load_tripartite(args)
     proto = merge_protocol(tri, args.setting, delta=args.delta)
     results = {
@@ -184,8 +182,7 @@ def cmd_merge_protocol(args):
     if args.save:
         locc = proto.locc()
         audit_protocol(locc)
-        with open(args.save, "w") as f:
-            f.write(json.dumps(serialize.protocol_to_dict(locc)))
+        serialize.save_protocol(locc, args.save)
         results["protocol_path"] = args.save
         results["protocol_input_layout"] = (
             "state subsystems first, then the rank-K resource pair")
@@ -194,12 +191,15 @@ def cmd_merge_protocol(args):
 
 
 def cmd_split_cost(args):
+    from .mergesplit import split_min_cost, verify_split
+
     tri = _load_tripartite(args)
     cost = split_min_cost(tri)
     results = {"cost": cost, "rank": int(round(2 ** cost))}
     checks = {}
     if args.simulate:
-        rank = args.rank or int(round(2 ** cost))
+        rank = (args.rank if args.rank is not None
+                else int(round(2 ** cost)))
         worst, results["branches"] = verify_split(tri, rank)
         results["worst_infidelity"] = worst
         checks["all_branches_exact"] = bool(worst < 1e-8)
@@ -208,6 +208,8 @@ def cmd_split_cost(args):
 
 
 def cmd_converse(args):
+    from .mergesplit import merge_converse_search
+
     tri = _load_tripartite(args)
     rep = merge_converse_search(tri, l_max=args.lmax, k_max=args.kmax)
     results = {
@@ -222,6 +224,8 @@ def cmd_converse(args):
 
 
 def cmd_simulate(args):
+    from .locc import simulate
+
     proto = serialize.load_protocol(args.protocol)
     ket = serialize.load_ket(args.state)
     branches = simulate(proto, ket)
@@ -238,6 +242,8 @@ def cmd_simulate(args):
 
 
 def cmd_twoway(args):
+    from . import twoway
+
     g1 = (_parse_complex(args.gamma1, "gamma1") if args.gamma1
           else np.exp(1j * np.pi / 4))
     g2 = (_parse_complex(args.gamma2, "gamma2") if args.gamma2
@@ -270,6 +276,8 @@ def _edge_costs(costs):
 
 
 def cmd_net(args):
+    from . import netcost
+
     tree = serialize.load_tree(args.tree)
     results = {}
     checks = {}
@@ -318,6 +326,8 @@ def _parse_angle(text):
 
 
 def cmd_msize(args):
+    from . import msize
+
     if args.action == "scan":
         circ = (serialize.load_circuit(args.circuit) if args.circuit
                 else msize.default_circuit())
@@ -467,8 +477,9 @@ def run(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         report = args.func(args)
-    except (StateError, InfeasibleError, CompletenessError, MaximalityError,
-            netcost.BranchCapError, ValueError, OSError, json.JSONDecodeError,
+    # StateError, InfeasibleError, CompletenessError, ScheduleError and
+    # JSONDecodeError are ValueErrors
+    except (MaximalityError, BranchCapError, ValueError, OSError,
             KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -16,21 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .locc import _frozen
-from .qcore import Ket, _rank_above, reduced_state
+from .qcore import (Ket, MaximalityError, _frozen, _rank_above,
+                    reduced_state)
 
 PROP_TOL = 1e-8       # relative Frobenius tolerance for proportionality
 EIG_TOL = 1e-9        # eigenvalues in (-tol, tol] go to the non-positive side
 SUPP_TOL = 1e-9       # relative support threshold
-
-
-class MaximalityError(RuntimeError):
-    """Raised when refinement stalls without a certified maximal partition;
-    carries the last partition for diagnosis."""
-
-    def __init__(self, message, partition=None):
-        super().__init__(message)
-        self.partition = partition
 
 
 @dataclass(frozen=True)

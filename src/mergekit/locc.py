@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import Bipartition, Ket, schmidt_decompose
+from .qcore import Bipartition, Ket, _frozen, schmidt_decompose
 from .states import max_entangled, pauli_x, pauli_z
 
 COMPLETENESS_TOL = 1e-8
@@ -171,6 +171,29 @@ def _isometry_deviation(mats) -> np.ndarray:
     return dev
 
 
+def _stack_of(mats) -> np.ndarray:
+    """``np.stack(mats)``; when the matrices are consecutive views of one
+    frozen C-ordered stack, as ``_op_views`` makes them, the slice of that
+    stack they view instead of a copy."""
+    base = mats[0].base
+    if (isinstance(base, np.ndarray) and base.dtype == complex
+            and base.ndim == 3 and base.shape[1:] == mats[0].shape
+            and base.flags.c_contiguous and not base.flags.writeable):
+        step, inner = base.strides[0], base.strides[1:]
+        ptr = _address(mats[0])
+        first, rem = divmod(ptr - _address(base), step)
+        if (not rem and 0 <= first <= len(base) - len(mats)
+                and all(m.base is base and m.strides == inner
+                        and _address(m) == ptr + j * step
+                        for j, m in enumerate(mats))):
+            return base[first:first + len(mats)]
+    return np.stack(mats)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
 def _check_complete(ops, what, tol=COMPLETENESS_TOL):
     """Audit sum_m M_m^dag M_m = 1 for an instrument.
 
@@ -187,7 +210,7 @@ def _check_complete(ops, what, tol=COMPLETENESS_TOL):
     stacks = []
     acc = np.zeros((din, din), dtype=complex)
     for (in_dims, out_dims), idx in groups.items():
-        stack = np.stack([ops[m].mat for m in idx])
+        stack = _stack_of([ops[m].mat for m in idx])
         flat = stack.reshape(-1, din)
         acc += flat.conj().T @ flat
         stacks.append((idx, in_dims, out_dims, stack))
@@ -564,11 +587,6 @@ def _fill_deficit(sub: np.ndarray, dim_in: int) -> np.ndarray:
         raise ValueError("no room to extend isometry")
     sub[free & (np.cumsum(free, axis=1) <= n_used[:, None])] = rows[used]
     return sub
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _shift_phase(d: int, m2: int) -> np.ndarray:

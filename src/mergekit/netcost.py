@@ -13,17 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .locc import (PRUNE_TOL, InfeasibleError, Round, _op_views,
-                   _simulate_round)
-from .mergesplit import merge_protocol, verify_split
-from .qcore import (DEFAULT_TOL, Bipartition, Ket, _rank_above,
-                    schmidt_rank, singular_rank)
+from .qcore import (DEFAULT_TOL, Bipartition, BranchCapError, Ket,
+                    _rank_above, schmidt_rank, singular_rank)
 
 BRANCH_CAP = 10 ** 5
-
-
-class BranchCapError(RuntimeError):
-    """Raised when exhaustive enumeration exceeds the branch cap."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +131,8 @@ def spreading_protocol(tree: RootedTree, iso: IsometrySpec, ranks=None,
     the spreading bound); ``inputs`` optionally supplies additional logical
     states to verify by linearity.
     """
+    from .locc import InfeasibleError
+
     costs = {e.edge: e.rank for e in spreading_costs(tree, iso)}
     if ranks is not None:
         for edge, r in ranks.items():
@@ -175,6 +170,8 @@ def spreading_protocol(tree: RootedTree, iso: IsometrySpec, ranks=None,
 def _verify_split_edge(phi: Ket, n_parties: int, side, rank: int) -> float:
     """Exhaustively simulate one split and return the worst branch
     infidelity against the unchanged state."""
+    from .mergesplit import verify_split
+
     keep = [0] + [v for v in range(1, n_parties + 1) if v not in side]
     move = list(side)
     grouped = phi.permute(keep + move)
@@ -198,6 +195,9 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
     maximally entangled between the reference and the root's holdings at
     the logical rank.
     """
+    from .locc import PRUNE_TOL, Round, _op_views, _simulate_round
+    from .mergesplit import merge_protocol
+
     if len(iso.dims) != tree.n:
         raise ValueError("one subsystem per party required")
     phi = iso.encoded_max_entangled()
@@ -222,7 +222,8 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
             # the pair folded in, F_m[y, a] = A_m[a, y] / sqrt(K) leaves
             # the other half y as the new register
             instruments[o] = _op_views(
-                a.transpose(0, 2, 1) / np.sqrt(k_res), a_dims, (k_res,))
+                np.ascontiguousarray(a.transpose(0, 2, 1)) / np.sqrt(k_res),
+                a_dims, (k_res,))
             pair_ranks.append(k_res)
             n_children += len(a_ops)
             if n_children > BRANCH_CAP:

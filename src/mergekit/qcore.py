@@ -20,6 +20,24 @@ class StateError(ValueError):
     """Raised when an input violates a state-level requirement."""
 
 
+class MaximalityError(RuntimeError):
+    """Raised when refinement stalls without a certified maximal partition;
+    carries the last partition for diagnosis."""
+
+    def __init__(self, message, partition=None):
+        super().__init__(message)
+        self.partition = partition
+
+
+class BranchCapError(RuntimeError):
+    """Raised when exhaustive enumeration exceeds the branch cap."""
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 

@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .locc import LoccProtocol, ProtocolOp, Round, audit_protocol
-from .msize import CircuitSpec, Configuration
-from .netcost import IsometrySpec, RootedTree
 from .qcore import Ket, StateError
+
+if TYPE_CHECKING:
+    from .locc import LoccProtocol, ProtocolOp
+    from .msize import CircuitSpec
+    from .netcost import IsometrySpec, RootedTree
 
 
 def _to_pairs(a: np.ndarray) -> list:
@@ -98,6 +101,8 @@ def _flat_indices(nz, size: int) -> np.ndarray:
 def op_from_dict(d: dict, version: int = 2) -> ProtocolOp:
     """One operator of a format 1 (dense ``mat``) or format 2 (sparse)
     protocol table."""
+    from .locc import ProtocolOp
+
     in_dims = tuple(int(x) for x in d["in_dims"])
     out_dims = tuple(int(x) for x in d["out_dims"])
     if version == 1:
@@ -129,10 +134,33 @@ def protocol_to_dict(proto: LoccProtocol) -> dict:
             "rounds": rounds}
 
 
+def save_protocol(proto: LoccProtocol, path: str):
+    """Write ``json.dumps(protocol_to_dict(proto))`` to ``path``, byte for
+    byte, one operator at a time, so that no JSON tree of the whole table
+    is held."""
+    parties = {k: list(v) for k, v in proto.parties.items()}
+    with open(path, "w") as f:
+        f.write(f'{{"format": 2, "parties": {json.dumps(parties)}, '
+                '"rounds": [')
+        for i, r in enumerate(proto.rounds):
+            f.write(f'{", " if i else ""}{{"party": {json.dumps(r.party)}, '
+                    '"instruments": {')
+            for j, (key, ops) in enumerate(r.instruments.items()):
+                skey = ",".join(str(k) for k in key)
+                f.write(f'{", " if j else ""}{json.dumps(skey)}: [')
+                for m, op in enumerate(ops):
+                    f.write(f'{", " if m else ""}{json.dumps(op_to_dict(op))}')
+                f.write("]")
+            f.write("}}")
+        f.write("]}")
+
+
 def protocol_from_dict(d: dict) -> LoccProtocol:
     """A protocol table of format 2, or of format 1 (no ``format`` key),
     with every instrument audited: one that no branch reaches is refused
     too."""
+    from .locc import LoccProtocol, Round, audit_protocol
+
     version = d.get("format", 1)
     if version not in (1, 2):
         raise StateError(f"unknown protocol table format {version!r}")
@@ -156,6 +184,8 @@ def load_protocol(path: str) -> LoccProtocol:
 
 
 def tree_from_dict(d: dict) -> RootedTree:
+    from .netcost import RootedTree
+
     return RootedTree(d["n"], {int(k): int(v)
                                for k, v in d["parent"].items()})
 
@@ -171,6 +201,8 @@ def load_tree(path: str) -> RootedTree:
 
 
 def isometry_from_dict(d) -> IsometrySpec:
+    from .netcost import IsometrySpec
+
     if isinstance(d, list):
         return IsometrySpec([ket_from_dict(k) for k in d])
     kets = [ket_from_dict(k) for k in d["code_kets"]]
@@ -183,6 +215,8 @@ def load_isometry(path: str) -> IsometrySpec:
 
 
 def circuit_from_dict(d: dict) -> CircuitSpec:
+    from .msize import CircuitSpec
+
     return CircuitSpec(d["n_qubits"], [tuple(g) for g in d["gates"]])
 
 
@@ -192,6 +226,8 @@ def load_circuit(path: str) -> CircuitSpec:
 
 
 def schedule_from_dict(d: dict):
+    from .msize import Configuration
+
     config = Configuration({int(k): int(v)
                             for k, v in d["config"].items()})
     steps = []

@@ -96,6 +96,32 @@ def test_ki_rejects_malformed_cut_groups(tmp_path, capsys, cut):
     assert "0|1,2|3" in err
 
 
+@pytest.mark.parametrize("rank", ["0", "1"])
+def test_split_cost_refuses_a_rank_below_the_transferred_rank(
+        tmp_path, capsys, rank):
+    path = str(tmp_path / "ex2.json")
+    _run(["example", "ex2", "-o", path], capsys)
+    code, out, err = _run(["split-cost", path, "--simulate", "--rank", rank],
+                          capsys)
+    assert code == 2 and out == ""
+    assert f"error: resource rank {rank} below transferred rank 2" in err
+
+
+def test_ki_maximality_failure_is_an_input_error(tmp_path, capsys,
+                                                 monkeypatch):
+    from mergekit import kidecomp
+    from mergekit.qcore import MaximalityError
+
+    def stalled(tri):
+        raise MaximalityError("refinement stalled")
+
+    monkeypatch.setattr(kidecomp, "ki_decompose_tripartite", stalled)
+    path = str(tmp_path / "g.json")
+    _run(["example", "ghz:3:2", "-o", path], capsys)
+    code, out, err = _run(["ki", path], capsys)
+    assert (code, out, err) == (2, "", "error: refinement stalled\n")
+
+
 def test_split_and_converse(tmp_path, capsys):
     path = str(tmp_path / "g.json")
     _run(["example", "ghz:3:2", "-o", path], capsys)
@@ -456,10 +482,10 @@ def test_merge_protocol_save_refuses_an_incomplete_table(
         tmp_path, capsys, monkeypatch):
     import dataclasses
 
-    import mergekit.cli as cli
+    from mergekit import mergesplit
     from mergekit.locc import OneWayProtocol
 
-    real = cli.merge_protocol
+    real = mergesplit.merge_protocol
 
     def short_sender(*args, **kwargs):
         proto = real(*args, **kwargs)
@@ -467,7 +493,7 @@ def test_merge_protocol_save_refuses_an_incomplete_table(
         return dataclasses.replace(proto, one_way=OneWayProtocol(
             one.a_ops[:-1], one.b_ops[:-1]))
 
-    monkeypatch.setattr(cli, "merge_protocol", short_sender)
+    monkeypatch.setattr(mergesplit, "merge_protocol", short_sender)
     spath = str(tmp_path / "g.json")
     _run(["example", "ghz:3:2", "-o", spath], capsys)
     ppath = tmp_path / "proto.json"
@@ -535,7 +561,8 @@ def _assert_same_protocol(back, proto):
                 assert ob.mat.tobytes() == o.mat.tobytes()
 
 
-def test_protocol_table_matches_per_element_encoder_and_round_trips():
+def test_protocol_table_matches_per_element_encoder_and_round_trips(
+        tmp_path):
     from mergekit.mergesplit import merge_protocol
     from mergekit.qcore import random_ket
 
@@ -551,6 +578,10 @@ def test_protocol_table_matches_per_element_encoder_and_round_trips():
         proto = merge_protocol(psi, setting).locc()
         table = serialize.protocol_to_dict(proto)
         assert table["format"] == 2
+        # the incremental writer saves exactly the bytes of the whole tree
+        path = tmp_path / f"{setting}.json"
+        serialize.save_protocol(proto, str(path))
+        assert path.read_text() == json.dumps(table)
         back = serialize.protocol_from_dict(json.loads(json.dumps(table)))
         _assert_same_protocol(back, proto)
         v1 = json.loads(json.dumps(_per_element_protocol_dict(proto)))
@@ -734,6 +765,65 @@ def test_cli_path_never_imports_scipy(tmp_path):
     assert out["codes"] == [0, 0, 0]
     assert out["scipy"] == []
     assert abs(out["hmax"] + 1) < 1e-6 and not out["loaded"]
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    # one fresh interpreter per command: once the command returns, it has
+    # loaded these mergekit modules beyond cli, qcore and serialize, and no
+    # scipy module
+    from mergekit.locc import one_way_to_locc, teleport_protocol
+    from mergekit.netcost import star_isometry, star_tree
+
+    def path(name):
+        return str(tmp_path / name)
+
+    serialize.save_ket(states.ghz(3, 2), path("g.json"))
+    serialize.save_protocol(
+        one_way_to_locc(teleport_protocol(2), (0, 1), (2,)), path("t.json"))
+    serialize.save_ket(
+        Ket(np.kron([1, 0], states.max_entangled(2).amps), (2, 2, 2)),
+        path("in.json"))
+    with open(path("tree.json"), "w") as f:
+        json.dump(serialize.tree_to_dict(star_tree()), f)
+    with open(path("code.json"), "w") as f:
+        json.dump([serialize.ket_to_dict(k)
+                   for k in star_isometry().code_kets], f)
+    merge = {"kidecomp", "locc", "mergesplit", "states"}
+    expected = [
+        (["example", "ghz:3:2", "-o", path("e.json")], {"states"}),
+        (["ki", path("g.json")], {"kidecomp"}),
+        (["merge-cost", path("g.json")], merge),
+        (["merge-protocol", path("g.json")], merge),
+        (["split-cost", path("g.json")], merge),
+        (["converse", path("g.json")], merge),
+        (["simulate", path("t.json"), path("in.json")], {"locc", "states"}),
+        (["twoway", "verify"], merge | {"twoway"}),
+        (["net", "construct", path("tree.json"), path("g.json")],
+         {"netcost"}),
+        (["net", "concentrate", path("tree.json"), path("code.json")],
+         merge | {"netcost"}),
+        (["msize", "bound"], {"msize"}),
+    ]
+    script = textwrap.dedent("""
+        import json, sys
+        from mergekit import cli
+
+        code = cli.run(sys.argv[1:])
+        print(json.dumps({"code": code, "modules": sorted(
+            m for m in sys.modules if m.startswith(("mergekit.", "scipy")))}))
+    """)
+    src = os.path.dirname(os.path.dirname(mergekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for argv, layers in expected:
+        proc = subprocess.run([sys.executable, "-c", script] + argv,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["code"] == 0, argv
+        assert out["modules"] == sorted(
+            f"mergekit.{m}" for m in layers | {"cli", "qcore", "serialize"}
+        ), argv
 
 
 def test_msize_scan_alpha_validation(capsys):

@@ -610,3 +610,19 @@ def test_simulate_builds_one_ket_per_returned_branch(monkeypatch):
         one_way_to_locc(teleport_protocol(3), (0, 1), (2,)),
         random_ket([3], RNG).kron(states.max_entangled(3)))
     assert len(calls) == len(teleported) + 2      # the two input kets
+
+
+def test_completeness_audit_reuses_a_stack_only_its_own_views_form():
+    from mergekit.locc import _check_complete, _op_views
+
+    # a rank-one measurement: four 1x4 operators sum to the identity
+    stack = np.eye(4, dtype=complex).reshape(4, 1, 4).copy()
+    ops = _op_views(stack, (4,), (1,))
+    (idx, _, _, got), = _check_complete(ops, "views")
+    assert idx == [0, 1, 2, 3] and got.base is stack
+    # reordered views are copied in the operators' order
+    (_, _, _, got), = _check_complete(ops[::-1], "reordered")
+    assert got.base is not stack and np.array_equal(got, stack[::-1])
+    # four views of the stack, one repeated and one missing, are incomplete
+    with pytest.raises(CompletenessError):
+        _check_complete([ops[0], ops[0], ops[2], ops[3]], "repeated")

@@ -184,12 +184,12 @@ def test_concentrating_on_an_inner_vertex_with_two_children():
 def test_concentrating_final_check_builds_no_ket(monkeypatch):
     # branches are raw amplitude tensors: after the last synthesis, neither
     # the walk nor the final spectrum check constructs a Ket
-    import mergekit.netcost as netcost
+    import mergekit.mergesplit as mergesplit
     import mergekit.qcore as qcore
 
     calls, after_synthesis = [], []
     init = qcore.Ket.__init__
-    synthesize = netcost.merge_protocol
+    synthesize = mergesplit.merge_protocol
 
     def counting_init(self, *args, **kwargs):
         calls.append(1)
@@ -201,7 +201,7 @@ def test_concentrating_final_check_builds_no_ket(monkeypatch):
         return proto
 
     monkeypatch.setattr(qcore.Ket, "__init__", counting_init)
-    monkeypatch.setattr(netcost, "merge_protocol", tracking_synthesis)
+    monkeypatch.setattr(mergesplit, "merge_protocol", tracking_synthesis)
     cc = concentrating_simulate(line_tree(5), five_qubit_isometry())
     assert cc["pass"] and cc["branches"] == 16
     assert len(calls) == after_synthesis[-1]
@@ -210,10 +210,10 @@ def test_concentrating_final_check_builds_no_ket(monkeypatch):
 def test_concentrating_audits_each_sender_measurement(monkeypatch):
     import dataclasses
 
-    import mergekit.netcost as netcost
+    import mergekit.mergesplit as mergesplit
     from mergekit.locc import CompletenessError, OneWayProtocol
 
-    real = netcost.merge_protocol
+    real = mergesplit.merge_protocol
 
     def short_sender(*args, **kwargs):
         proto = real(*args, **kwargs)
@@ -221,7 +221,7 @@ def test_concentrating_audits_each_sender_measurement(monkeypatch):
         return dataclasses.replace(proto, one_way=OneWayProtocol(
             one.a_ops[:-1], one.b_ops[:-1]))
 
-    monkeypatch.setattr(netcost, "merge_protocol", short_sender)
+    monkeypatch.setattr(mergesplit, "merge_protocol", short_sender)
     with pytest.raises(CompletenessError,
                        match=r"round for 3 given \(\) completeness deviates"):
         concentrating_simulate(star_tree(), star_isometry())
