@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -183,11 +184,43 @@ def load_protocol(path: str) -> LoccProtocol:
         return protocol_from_dict(json.load(f))
 
 
+def _object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise StateError(f"{what} must be a JSON object, got {d!r}")
+    return d
+
+
+def _int(x, what: str) -> int:
+    """An integer field: a JSON integer, or an object key that spells one.
+    A fraction, a boolean or any other value raises ``StateError``."""
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise StateError(f"{what} must be an integer, got {x!r}")
+
+
+def _list(xs, what: str, length: int = None) -> list:
+    """A JSON list, of the given length if one is given."""
+    if not isinstance(xs, list) or length not in (None, len(xs)):
+        raise StateError(f"{what} must be a list"
+                         f"{'' if length is None else f' of {length}'}, "
+                         f"got {xs!r}")
+    return xs
+
+
+def _ints(xs, what: str, length: int = None) -> list:
+    return [_int(x, f"an entry of {what}")
+            for x in _list(xs, what, length)]
+
+
 def tree_from_dict(d: dict) -> RootedTree:
     from .netcost import RootedTree
 
-    return RootedTree(d["n"], {int(k): int(v)
-                               for k, v in d["parent"].items()})
+    d = _object(d, "a tree")
+    return RootedTree(_int(d["n"], "tree size n"), {
+        _int(k, "a tree vertex"): _int(v, f"the parent of vertex {k}")
+        for k, v in _object(d["parent"], "the parent map").items()})
 
 
 def tree_to_dict(tree: RootedTree) -> dict:
@@ -217,7 +250,10 @@ def load_isometry(path: str) -> IsometrySpec:
 def circuit_from_dict(d: dict) -> CircuitSpec:
     from .msize import CircuitSpec
 
-    return CircuitSpec(d["n_qubits"], [tuple(g) for g in d["gates"]])
+    d = _object(d, "a circuit")
+    return CircuitSpec(_int(d["n_qubits"], "n_qubits"),
+                       [tuple(_ints(g, "a gate", 2))
+                        for g in _list(d["gates"], "gates")])
 
 
 def load_circuit(path: str) -> CircuitSpec:
@@ -228,16 +264,23 @@ def load_circuit(path: str) -> CircuitSpec:
 def schedule_from_dict(d: dict):
     from .msize import Configuration
 
-    config = Configuration({int(k): int(v)
-                            for k, v in d["config"].items()})
+    d = _object(d, "a schedule")
+    config = Configuration({
+        _int(k, "a party"): _int(v, f"the slot count of party {k}")
+        for k, v in _object(d["config"], "the config").items()})
     steps = []
-    for s in d["steps"]:
-        step = dict(s)
+    for s in _list(d["steps"], "steps"):
+        step = dict(_object(s, "a step"))
+        for key in ("party", "slot"):
+            if key in step:
+                step[key] = _int(step[key], f"a step's {key}")
+        if "slots" in step:
+            step["slots"] = _ints(step["slots"], "a step's slots")
+        for key in ("from", "to"):
+            if key in step:
+                step[key] = tuple(_ints(step[key], f"a send's {key!r}", 2))
         if step["op"] == "unitary":
             step["matrix"] = _from_pairs(step["matrix"], 2)
-        if step["op"] == "send":
-            step["from"] = tuple(step["from"])
-            step["to"] = tuple(step["to"])
         steps.append(step)
     return config, steps
 

@@ -833,6 +833,75 @@ def test_msize_scan_alpha_validation(capsys):
     assert code == 0
 
 
+def test_msize_scan_of_a_repeated_gate_circuit(tmp_path, capsys):
+    # gate (1, 2) twice; the pinned values are the oracle scan's (the scaled
+    # 256-amplitude state ranked cut by cut, tests/test_msize.py)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n_qubits": 8, "gates": [
+        [1, 2], [1, 3], [2, 4], [1, 2], [3, 6], [3, 7], [4, 8]]}))
+    for alpha in ("pi/4", "-pi/4"):
+        code, out, _ = _run(["msize", "scan", "--circuit", str(path),
+                             "--alpha", alpha], capsys)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["permutations_with_large_edge"] == 4704
+        assert res["max_rank_seen"] == 4
+        assert res["distinct_cuts_evaluated"] == 99
+        assert res["sample_cut_ranks"] == {
+            "[1, 2]": 4, "[1, 2, 3]": 4, "[1, 2, 3, 4, 6, 7]": 2,
+            "[1, 2, 3, 5]": 4, "[1, 2, 3, 5, 6]": 4, "[1, 2, 3, 5, 6, 7]": 2,
+            "[1, 2, 3, 5, 7]": 4, "[1, 2, 3, 6]": 4}
+
+
+TREE_DICT = {"n": 3, "parent": {"2": 1, "3": 1}}
+SCHEDULE_DICT = {"config": {"1": 2, "2": 1}, "steps": [
+    {"op": "send", "from": [1, 0], "to": [2, 0]}]}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("scan", {"n_qubits": 8, "gates": [[1, 2.5], [1, 3], [2, 4], [2, 5],
+                                       [3, 6], [3, 7], [4, 8]]},
+     "an entry of a gate must be an integer, got 2.5"),
+    ("prepare", {"n_qubits": 8.7, "gates": [[1, 2]]},
+     "n_qubits must be an integer, got 8.7"),
+    ("prepare", {"n_qubits": 2, "gates": 5}, "gates must be a list, got 5"),
+    ("prepare", {"n_qubits": 2, "gates": [None]},
+     "a gate must be a list of 2, got None"),
+    ("prepare", [2, [[1, 2]]], "a circuit must be a JSON object"),
+    ("tree", {"n": 3, "parent": {"2": 1, "3": 1.9}},
+     "the parent of vertex 3 must be an integer, got 1.9"),
+    ("tree", {"n": 3, "parent": [1, 2]}, "the parent map must be a JSON "
+                                         "object, got [1, 2]"),
+    ("tree", [TREE_DICT], "a tree must be a JSON object"),
+    ("dynamic", {**SCHEDULE_DICT, "config": {"1": 1.5, "2": 1}},
+     "the slot count of party 1 must be an integer, got 1.5"),
+    ("dynamic", [SCHEDULE_DICT], "a schedule must be a JSON object"),
+    ("dynamic", {**SCHEDULE_DICT, "steps": [
+        {"op": "send", "from": [1, 0.5], "to": [2, 0]}]},
+     "an entry of a send's 'from' must be an integer, got 0.5"),
+], ids=["gate-fraction", "n-qubits-fraction", "gates-number", "gate-null",
+        "circuit-list", "parent-fraction", "parent-list", "tree-list",
+        "slot-count-fraction", "schedule-list", "send-fraction"])
+def test_integer_fields_are_read_exactly(tmp_path, capsys, command, data,
+                                         message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "tree":
+        from mergekit.netcost import star_isometry
+
+        cpath = tmp_path / "code.json"
+        cpath.write_text(json.dumps(
+            [serialize.ket_to_dict(k) for k in star_isometry().code_kets]))
+        argv = ["net", "spread", str(path), str(cpath)]
+    elif command == "dynamic":
+        argv = ["msize", "dynamic", str(path)]
+    else:
+        argv = ["msize", command, "--circuit", str(path)]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+
+
 def test_unnormalized_state_rejected(tmp_path, capsys):
     bad = tmp_path / "unnorm.json"
     bad.write_text(json.dumps({"dims": [2], "amps": [[1, 0], [1, 0]]}))

@@ -2,6 +2,7 @@ import functools
 import itertools
 import re
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,23 +16,22 @@ from mergekit.msize import (
     CircuitSpec,
     Configuration,
     DynamicSimulator,
-    GaussIntVector,
     ScheduleError,
     bipartite_bound_check,
     circuit_state,
+    crossing_cut_rank,
     default_circuit,
     dynamic_simulate,
-    exact_schmidt_rank,
+    exact_gauss_rank,
     mbqc_prepare,
     permutation_scan,
     random_legal_schedule,
     resource_graph_state,
     resource_preparation_schedule,
-    scaled_quarter_turn_state,
     verify_dynamic_rank_limit,
     verify_resource_preparation,
 )
-from mergekit.msize import _mbqc_branches, _run_on_graph
+from mergekit.msize import _gmul, _mbqc_branches, _run_on_graph
 from mergekit.qcore import (Bipartition, Ket, StateError, schmidt_decompose,
                             schmidt_rank)
 
@@ -147,6 +147,203 @@ def test_mbqc_random_angles():
         assert rep["pass"]
 
 
+# The exact scan as first written, kept as the oracle: the 256-amplitude
+# circuit output scaled to Gaussian integers, and each cut's rank eliminated
+# from its whole 2^k x 2^(8-k) matrix.
+
+
+@dataclass(frozen=True)
+class GaussIntVector:
+    """State vector with exact Gaussian-integer entries."""
+
+    entries: tuple     # ((re, im), ...) python ints
+    dims: tuple
+
+    def __init__(self, entries, dims):
+        dims = tuple(int(d) for d in dims)
+        entries = tuple((int(a), int(b)) for (a, b) in entries)
+        if len(entries) != int(np.prod(dims)):
+            raise ValueError("entry count does not match dims")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dims", dims)
+
+    def to_complex(self) -> np.ndarray:
+        return np.array([a + 1j * b for (a, b) in self.entries])
+
+
+def exact_schmidt_rank(vec: GaussIntVector, cut: Bipartition) -> int:
+    """Schmidt rank across the cut, exactly."""
+    left = list(cut.left)
+    right = list(cut.right)
+    if sorted(left + right) != list(range(len(vec.dims))):
+        raise ValueError("cut must partition all subsystems")
+    dims = vec.dims
+    n = len(dims)
+    d_left = int(np.prod([dims[k] for k in left]))
+    d_right = int(np.prod([dims[k] for k in right]))
+    rows = [[(0, 0)] * d_right for _ in range(d_left)]
+    strides = [int(np.prod(dims[k + 1:])) for k in range(n)]
+    for flat, entry in enumerate(vec.entries):
+        if entry == (0, 0):
+            continue
+        li = 0
+        for k in left:
+            li = li * dims[k] + (flat // strides[k]) % dims[k]
+        ri = 0
+        for k in right:
+            ri = ri * dims[k] + (flat // strides[k]) % dims[k]
+        rows[li][ri] = entry
+    if d_left > d_right:
+        rows = [[rows[i][j] for i in range(d_left)] for j in range(d_right)]
+    return exact_gauss_rank(rows)
+
+
+def scaled_quarter_turn_state(circ: CircuitSpec,
+                              quarter_multiple: int = 1) -> GaussIntVector:
+    """The circuit output at angle (odd multiple of a quarter turn) scaled
+    to integer entries: each plus state contributes sqrt(2) and each gate
+    contributes sqrt(2), so the amplitudes become products of (+-1 +- i)."""
+    k = int(quarter_multiple) % 8
+    if k % 2 == 0:
+        raise ValueError(
+            "exact integer scaling needs an odd multiple of pi/4")
+    c = {1: 1, 3: -1, 5: -1, 7: 1}[k]
+    d = {1: 1, 3: 1, 5: -1, 7: -1}[k]
+    n = circ.n_qubits
+    entries = [(1, 0)] * (2 ** n)
+    for (i, j) in circ.gates:
+        qi, qj = i - 1, j - 1
+        for idx in range(2 ** n):
+            zi = (idx >> (n - 1 - qi)) & 1
+            zj = (idx >> (n - 1 - qj)) & 1
+            factor = (c, d) if zi == zj else (c, -d)
+            entries[idx] = _gmul(entries[idx], factor)
+    return GaussIntVector(entries, (2,) * n)
+
+
+def _subset_cut(subset, n=8):
+    """The cut between the 1-based qubits ``subset`` and the rest."""
+    return Bipartition([q - 1 for q in subset],
+                       [q - 1 for q in range(1, n + 1) if q not in subset])
+
+
+def _oracle_scan(circ, quarter_multiple=1):
+    """``permutation_scan`` as first written: ranks from the scaled state,
+    cached by ``frozenset`` of the prefix."""
+    vec = scaled_quarter_turn_state(circ, quarter_multiple)
+    rank_cache = {}
+
+    def cut_rank(subset):
+        key = frozenset(subset)
+        if key not in rank_cache:
+            rank_cache[key] = exact_schmidt_rank(vec, _subset_cut(key))
+        return rank_cache[key]
+
+    violated = 0
+    max_rank_seen = 0
+    witness_ok = None
+    for perm in itertools.permutations(range(1, 8)):
+        has_big = False
+        for k in range(2, 7):
+            r = cut_rank(perm[:k])
+            max_rank_seen = max(max_rank_seen, r)
+            if r > 2:
+                has_big = True
+                break
+        if has_big:
+            violated += 1
+        elif witness_ok is None:
+            witness_ok = perm
+    sample = {str(sorted(k)): v for k, v in
+              list(sorted(rank_cache.items(), key=lambda kv: sorted(kv[0])))[:8]}
+    return {
+        "connectivity": list(circ.gates),
+        "permutations": 5040,
+        "permutations_with_large_edge": violated,
+        "all_have_large_edge": bool(violated == 5040),
+        "distinct_cuts_evaluated": len(rank_cache),
+        "max_rank_seen": int(max_rank_seen),
+        "counterexample_layout": witness_ok,
+        "sample_cut_ranks": sample,
+    }
+
+
+# gate (1, 2) twice: at an odd multiple of pi/4 the pair is Z x Z up to a
+# phase, a product gate, so no entanglement runs between qubits 1 and 2
+REPEATED_GATE_CIRCUIT = CircuitSpec(
+    8, [(1, 2), (1, 3), (2, 4), (1, 2), (3, 6), (3, 7), (4, 8)])
+
+
+def test_crossing_cut_ranks_match_the_oracle():
+    rng = np.random.default_rng(2004)
+    circuits = []
+    for trial in range(3):      # the last one repeats its first gate
+        pairs = [tuple(int(q) + 1 for q in rng.choice(8, 2, replace=False))
+                 for _ in range(int(rng.integers(5, 11)))]
+        circuits.append(CircuitSpec(8, pairs + pairs[:trial // 2]))
+    for circ in circuits:
+        for k in (1, 3, 5, 7):
+            vec = scaled_quarter_turn_state(circ, k)
+            for left in range(1, 128):      # every cut, qubit 8 on the right
+                subset = [q for q in range(1, 9) if left >> q - 1 & 1]
+                want = exact_schmidt_rank(vec, _subset_cut(subset))
+                assert crossing_cut_rank(circ.gates, left, k) == want, (
+                    circ, k, subset)
+                assert crossing_cut_rank(circ.gates, 255 ^ left, k) == want
+
+
+@pytest.mark.parametrize("circ, n_cuts", [(default_circuit(), 49),
+                                           (REPEATED_GATE_CIRCUIT, 99)],
+                         ids=["default", "repeated-gate"])
+def test_permutation_scan_matches_the_oracle_scan(monkeypatch, circ, n_cuts):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return exact_gauss_rank(rows)
+
+    monkeypatch.setattr(msize, "exact_gauss_rank", counting)
+    for k in (1, 3, 5, 7, -1):
+        calls.clear()
+        rep = permutation_scan(circ, k)
+        assert rep == _oracle_scan(circ, k), k
+        # one exact rank per distinct cut
+        assert len(calls) == rep["distinct_cuts_evaluated"] == n_cuts
+
+
+def test_exact_gauss_rank_direct():
+    # full rank: det = (1)(1+i) - (2)(i) = 1 - i
+    assert exact_gauss_rank([[(1, 0), (2, 0)], [(0, 1), (1, 1)]]) == 2
+    assert exact_gauss_rank([[(2, 1), (0, 0), (1, -1)],
+                             [(0, 0), (0, 3), (0, 0)],
+                             [(1, 0), (0, 0), (1, 1)]]) == 3
+    # rank deficient, and the first pivot sits below a zero: a row swap
+    rows = [[(0, 0), (1, 0), (2, 0)],
+            [(1, 0), (0, 1), (0, 0)],
+            [(0, 2), (-2, 0), (0, 0)]]        # 2i times the second row
+    assert exact_gauss_rank(rows) == 2
+    assert rows[0][0] == (0, 0)               # the input is not modified
+    # zero, empty and single-row inputs
+    assert exact_gauss_rank([[(0, 0)] * 3] * 2) == 0
+    assert exact_gauss_rank([]) == 0
+    assert exact_gauss_rank([[]]) == 0
+    assert exact_gauss_rank([[(0, 0), (3, -1), (0, 0)]]) == 1
+    assert exact_gauss_rank([[(0, 0), (0, 0)]]) == 0
+
+
+def test_exact_gauss_rank_matches_singular_rank():
+    rng = np.random.default_rng(62)
+    for trial in range(300):
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 7, size=2))
+        inner = int(rng.integers(1, 7))
+        # integer factors of a random inner size: often rank deficient
+        a, b = (rng.integers(-2, 3, size=(2,) + shape)
+                for shape in ((n_rows, inner), (inner, n_cols)))
+        mat = (a[0] + 1j * a[1]) @ (b[0] + 1j * b[1])
+        rows = [[(int(z.real), int(z.imag)) for z in row] for row in mat]
+        assert exact_gauss_rank(rows) == qcore.singular_rank(mat), trial
+
+
 def test_exact_rank_basics():
     # scaled maximally entangled pair
     v = GaussIntVector([(1, 0), (0, 0), (0, 0), (1, 0)], (2, 2))
@@ -187,9 +384,9 @@ def test_permutation_scan_zero_angles():
     # exact machinery must see no large edges anywhere
     vec = GaussIntVector([(1, 0)] * 256, (2,) * 8)
     for subset in [(1, 2), (2, 5, 7)]:
-        cut = Bipartition([q - 1 for q in subset],
-                          [q - 1 for q in range(1, 9) if q not in subset])
-        assert exact_schmidt_rank(vec, cut) == 1
+        assert exact_schmidt_rank(vec, _subset_cut(subset)) == 1
+        left = sum(1 << q - 1 for q in subset)
+        assert crossing_cut_rank(default_circuit().gates, left, 0) == 1
 
 
 def test_permutation_scan_default_circuit():
