@@ -171,27 +171,30 @@ def _isometry_deviation(mats) -> np.ndarray:
     return dev
 
 
-def _stack_of(mats) -> np.ndarray:
-    """``np.stack(mats)``; when the matrices are consecutive views of one
-    frozen C-ordered stack, as ``_op_views`` makes them, the slice of that
-    stack they view instead of a copy."""
-    base = mats[0].base
-    if (isinstance(base, np.ndarray) and base.dtype == complex
-            and base.ndim == 3 and base.shape[1:] == mats[0].shape
-            and base.flags.c_contiguous and not base.flags.writeable):
-        step, inner = base.strides[0], base.strides[1:]
-        ptr = _address(mats[0])
-        first, rem = divmod(ptr - _address(base), step)
-        if (not rem and 0 <= first <= len(base) - len(mats)
-                and all(m.base is base and m.strides == inner
-                        and _address(m) == ptr + j * step
-                        for j, m in enumerate(mats))):
-            return base[first:first + len(mats)]
-    return np.stack(mats)
+def _stack_of(arrays) -> np.ndarray:
+    """``np.stack(arrays)``; when the arrays are consecutive C-ordered
+    pieces of one frozen C-ordered array, as ``_op_views`` and
+    ``_ket_views`` make them, the view of that array they tile instead of
+    a copy."""
+    first = arrays[0]
+    base = first.base
+    if (isinstance(base, np.ndarray) and base.dtype == first.dtype
+            and base.flags.c_contiguous and not base.flags.writeable
+            and first.flags.c_contiguous):
+        start, rem = divmod(_address(first) - _address(base), first.itemsize)
+        stop = start + first.size * len(arrays)
+        if (not rem and 0 <= start and stop <= base.size
+                and all(a.base is base and a.shape == first.shape
+                        and a.flags.c_contiguous
+                        and _address(a) == _address(first) + j * first.nbytes
+                        for j, a in enumerate(arrays))):
+            return base.reshape(-1)[start:stop].reshape(
+                (len(arrays),) + first.shape)
+    return np.stack(arrays)
 
 
 def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
+    return a.ctypes.data
 
 
 def _check_complete(ops, what, tol=COMPLETENESS_TOL):
@@ -444,7 +447,8 @@ def simulate(protocol: LoccProtocol, input_state: Ket,
 
     Each round takes the live branches in batches of one layout and one
     instrument shape, applied as one stacked matmul; amplitudes stay raw
-    arrays until the end, when each returned branch gets its ``Ket``.
+    arrays until the end, when each returned branch gets its ``Ket``: a
+    read-only view of its row of the final stack, not a copy.
     Branches come out in lexicographic order of their outcome tuples, as a
     per-operator loop would produce them.
     """
@@ -471,17 +475,40 @@ def simulate(protocol: LoccProtocol, input_state: Ket,
     if abs(total - 1.0) > 1e-7:
         raise CompletenessError(
             f"branch probabilities sum to {total}, expected 1")
-    return [SimBranch(outcomes=o, prob=p,
-                      state=Ket(blocks[b][0][r], blocks[b][1],
-                                normalized=False),
+    kets = [_ket_views(amps, dims) for amps, dims, _ in blocks]
+    return [SimBranch(outcomes=o, prob=p, state=kets[b][r],
                       ownership=blocks[b][2])
             for o, p, (b, r) in zip(outcomes, probs, where)]
 
 
+def _ket_views(stack: np.ndarray, dims: tuple) -> list:
+    """One unnormalized ``Ket`` per row of a complex stack (n, prod(dims))
+    that the caller hands over: the stack and the array owning its memory
+    are frozen, so that ``_stack_of`` reads the rows back in place, and
+    each state views its row instead of copying it."""
+    _frozen(stack)
+    if isinstance(stack.base, np.ndarray):
+        _frozen(stack.base)
+    kets = []
+    for amps in stack:
+        ket = object.__new__(Ket)
+        object.__setattr__(ket, "amps", amps)
+        object.__setattr__(ket, "dims", dims)
+        object.__setattr__(ket, "normalized", False)
+        kets.append(ket)
+    return kets
+
+
 def branch_fidelities(amps, target) -> np.ndarray:
     """|<target|a>|^2 / (|a|^2 |target|^2) for every row ``a`` of the
-    stacked branch amplitudes ``amps`` (n, ...), in one product."""
-    a = np.asarray(amps).reshape(len(amps), -1)
+    stacked branch amplitudes ``amps`` (n, ...), in one product.  A list of
+    the row views that ``simulate`` returns is read in place when a copy
+    would take 1 MiB or more; below that, the per-row check costs more
+    than the copy."""
+    if isinstance(amps, list) and len(amps) * amps[0].nbytes >= 1 << 20:
+        a = _stack_of(amps).reshape(len(amps), -1)
+    else:
+        a = np.asarray(amps).reshape(len(amps), -1)
     t = np.asarray(target).reshape(-1)
     if a.shape[1] != t.size:
         raise ValueError(f"state sizes differ: {a.shape[1]} vs {t.size}")

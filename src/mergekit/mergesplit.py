@@ -264,18 +264,20 @@ def split_protocol(psi: Ket, resource_rank: int):
         r, s = l % dm, 1 + (l - rank) // dm
         decode[r * junk + s, l] = 1.0
 
-    a_ops, b_ops = [], []
+    # one batched product per family: each teleport outcome m2's matrix
+    # is the product a loop over m2 would make of it
     encode = np.kron(u_split, np.eye(k))
-    for m2 in range(k * k):
-        bra = _teleport_bell_bra(k, m2).reshape(1, -1)
-        a_ops.append(ProtocolOp(bra @ encode, (dm, k), (1,)))
-        b_ops.append(ProtocolOp(decode @ _teleport_correction(k, m2),
-                                (k,), (dm, junk)))
+    bras = np.stack([_teleport_bell_bra(k, m2).reshape(1, -1)
+                     for m2 in range(k * k)])
+    a_all = bras @ encode                                 # (k*k, 1, dm*k)
+    b_all = decode @ np.stack([_teleport_correction(k, m2)
+                               for m2 in range(k * k)])   # (k*k, dm*junk, k)
 
-    extra = _completion_ops(np.concatenate([op.mat for op in a_ops]), 1,
-                            1e-12)
-    a_ops += _op_views(extra, (dm, k), (1,))
-    b_ops += [ProtocolOp(decode, (k,), (dm, junk))] * len(extra)
+    extra = _completion_ops(a_all.reshape(-1, dm * k), 1, 1e-12)
+    a_ops = (_op_views(a_all, (dm, k), (1,))
+             + _op_views(extra, (dm, k), (1,)))
+    b_ops = (_op_views(b_all, (k,), (dm, junk))
+             + [ProtocolOp(decode, (k,), (dm, junk))] * len(extra))
     proto = OneWayProtocol(a_ops, b_ops)
     return proto, {"resource_rank": k, "rank": rank, "junk": junk}
 
@@ -342,9 +344,11 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
 
     Each block's outcome-independent factors are contracted once, and its
     terms for every local label pair (m1, m2) come from one batched
-    contraction; the block-Fourier phases over m3 are then applied to all
-    outcomes as one matrix product.  Operators come out in (m1, m2, m3)
-    order, m3 fastest, followed by the completion outcomes.
+    contraction; the block-Fourier phases over m3 are then applied as one
+    batched matrix product per byte-bounded chunk of label pairs
+    (``_fourier_combine``), so each operator family is held once.
+    Operators come out in (m1, m2, m3) order, m3 fastest, followed by the
+    completion outcomes.
     """
     if setting not in ("catalytic", "non-catalytic"):
         raise ValueError("setting must be catalytic or non-catalytic")
@@ -398,14 +402,14 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
                                      * n_blocks)
                        for blk, s in zip(blocks, sub)])
     a_all = _fourier_combine(
-        (_block_a_terms(blk, s, setting, k_total, l_total, da)
-         for blk, s in zip(blocks, sub)),
+        [_block_a_terms(blk, s, setting, k_total, l_total, da)
+         for blk, s in zip(blocks, sub)],
         n1, n2, fourier * scales, (l_total, da * k_total))
     a_ops = _op_views(a_all, (da, k_total), (l_total,))
     if not sender_only:
         b_all = _fourier_combine(
-            (_block_b_terms(blk, s, setting, k_total, l_total, da, db, junk)
-             for blk, s in zip(blocks, sub)),
+            [_block_b_terms(blk, s, setting, k_total, l_total, da, db, junk)
+             for blk, s in zip(blocks, sub)],
             n1, n2, fourier.conj(), (d_out_b, db * k_total))
         b_ops = _op_views(_extend_isometry(b_all, db * k_total),
                           (db, k_total), out_b_dims)
@@ -426,26 +430,40 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
                          dims=psi.dims, junk=junk, report=report)
 
 
+# bound on the slab of one chunk of label pairs in ``_fourier_combine``;
+# a chunk holds at least one pair
+_COMBINE_BYTES = 1 << 18
+
+
 def _fourier_combine(terms, n1, n2, weights, shape):
     """Operators of every outcome (m1, m2, m3), in that loop order, as a
     stack (n1 * n2 * n_blocks, rows, cols) with ``shape = (rows, cols)``.
 
-    ``terms`` yields block j's matrices for its own labels, shape
-    (n_out_j, n2_j, rows, cols), one block at a time so that only one is
-    held; outcome (m1, m2, m3) takes
-    ``sum_j weights[m3, j] * terms[j][m1 % n_out_j, m2 % n2_j]``, applied
-    to all outcomes as one matrix product over the block axis."""
+    ``terms[j]`` holds block j's matrices for its own labels, shape
+    (n_out_j, n2_j, rows, cols); outcome (m1, m2, m3) takes
+    ``sum_j weights[m3, j] * terms[j][m1 % n_out_j, m2 % n2_j]``.  Only
+    the blocks' own terms and the result are held: the label pairs
+    (m1, m2) go in chunks whose (pairs, n_blocks, rows * cols) slab stays
+    within ``_COMBINE_BYTES``, each taken through the same batched product
+    ``weights @ slab``, so every operator comes out bit for bit as one
+    product over all pairs gives it.  A lone block whose terms cover every
+    pair is its own slab and takes that one product."""
     n_blocks = weights.shape[1]
-    rows, cols = shape
-    tiled = np.empty((n1, n2, n_blocks, rows, cols), dtype=complex)
-    for j, t in enumerate(terms):
-        nj, n2j = t.shape[:2]
-        view = tiled.reshape(n1 // nj, nj, n2 // n2j, n2j, n_blocks,
-                             rows, cols)
-        view[:, :, :, :, j] = t[None, :, None]
-        del t       # drop this block's terms before the next is built
-    out = weights @ tiled.reshape(n1 * n2, n_blocks, rows * cols)
-    return out.reshape(-1, rows, cols)
+    size = shape[0] * shape[1]
+    out = np.empty((n1 * n2, n_blocks, size), dtype=complex)
+    if n_blocks == 1 and terms[0].shape[:2] == (n1, n2):
+        np.matmul(weights, terms[0].reshape(n1 * n2, 1, size), out=out)
+        return out.reshape(-1, *shape)
+    step = max(1, _COMBINE_BYTES // (n_blocks * size * out.itemsize))
+    slab = np.empty((min(step, n1 * n2), n_blocks, size), dtype=complex)
+    for p0 in range(0, n1 * n2, step):
+        m1, m2 = np.divmod(np.arange(p0, min(p0 + step, n1 * n2)), n2)
+        part = slab[:m1.size]
+        for j, t in enumerate(terms):
+            part[:, j] = t[m1 % t.shape[0], m2 % t.shape[1]].reshape(
+                m1.size, size)
+        np.matmul(weights, part, out=out[p0:p0 + m1.size])
+    return out.reshape(-1, *shape)
 
 
 # Fixed contraction orders for the per-block einsums, so that no call

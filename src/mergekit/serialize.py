@@ -50,7 +50,7 @@ def ket_to_dict(ket: Ket) -> dict:
 
 
 def ket_from_dict(data: dict) -> Ket:
-    dims = data["dims"]
+    dims = _ints(data["dims"], "dims")
     amps = _from_pairs(data["amps"], 1)
     normalized = data.get("normalized", True)
     if normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-6:
@@ -101,11 +101,12 @@ def _flat_indices(nz, size: int) -> np.ndarray:
 
 def op_from_dict(d: dict, version: int = 2) -> ProtocolOp:
     """One operator of a format 1 (dense ``mat``) or format 2 (sparse)
-    protocol table."""
+    protocol table; ``nz``, ``val`` and ``mat`` may be JSON lists or the
+    arrays ``load_protocol`` reads them into."""
     from .locc import ProtocolOp
 
-    in_dims = tuple(int(x) for x in d["in_dims"])
-    out_dims = tuple(int(x) for x in d["out_dims"])
+    in_dims = tuple(_ints(d["in_dims"], "an operator's in_dims"))
+    out_dims = tuple(_ints(d["out_dims"], "an operator's out_dims"))
     if version == 1:
         return ProtocolOp(_from_pairs(d["mat"], 2), in_dims, out_dims)
     shape = [math.prod(out_dims), math.prod(in_dims)]
@@ -113,7 +114,8 @@ def op_from_dict(d: dict, version: int = 2) -> ProtocolOp:
         raise StateError(f"operator shape {d['shape']!r} does not match "
                          f"{out_dims} x {in_dims}")
     nz = _flat_indices(d["nz"], shape[0] * shape[1])
-    if not isinstance(d["val"], list) or len(d["val"]) != nz.size:
+    if (not isinstance(d["val"], (list, np.ndarray))
+            or len(d["val"]) != nz.size):
         raise StateError(f"operator has {nz.size} indices nz but val is "
                          "not a list of as many [re, im] pairs")
     mat = np.zeros(shape, dtype=complex)
@@ -179,9 +181,31 @@ def protocol_from_dict(d: dict) -> LoccProtocol:
     return proto
 
 
+def _compact_operator(d: dict) -> dict:
+    """``json.load`` object hook of ``load_protocol``: an operator's ``nz``
+    and ``val`` (format 2) or ``mat`` (format 1) list becomes the array
+    that ``op_from_dict`` would make of it, so that the table's numbers are
+    not all held as Python objects.  Anything that is not a numeric array
+    stays a list, for ``op_from_dict`` to refuse with its own message."""
+    if "in_dims" not in d:
+        return d
+    for key in ("nz", "val", "mat"):
+        if isinstance(d.get(key), list):
+            try:
+                arr = np.asarray(d[key])
+            except (ValueError, TypeError, OverflowError):
+                continue
+            if arr.dtype.kind in "biuf":
+                d[key] = arr
+    return d
+
+
 def load_protocol(path: str) -> LoccProtocol:
+    """``protocol_from_dict`` of the table at ``path``, each operator's
+    entries read into an array as the file is parsed, not into a JSON
+    tree of the whole table."""
     with open(path) as f:
-        return protocol_from_dict(json.load(f))
+        return protocol_from_dict(json.load(f, object_hook=_compact_operator))
 
 
 def _object(d, what: str) -> dict:

@@ -606,6 +606,32 @@ def test_protocol_table_matches_per_element_encoder_and_round_trips(
     assert negative_zeros > 0       # the bit-exact check covered -0.0
 
 
+def test_load_protocol_reads_operators_without_a_json_tree(tmp_path):
+    import tracemalloc
+
+    from mergekit.mergesplit import merge_protocol
+    from mergekit.qcore import random_ket
+
+    psi = random_ket((4, 5, 5), np.random.default_rng(41))
+    proto = merge_protocol(psi, "non-catalytic").locc()
+    path = tmp_path / "table.json"
+    serialize.save_protocol(proto, str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = serialize.load_protocol(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_protocol(back, proto)
+    # reading the file holds its bytes and their decoded text at once, two
+    # copies of the file, plus the reader's buffers; the parsed operators
+    # and the built protocol stay below that.  A JSON tree of the whole
+    # table's lists took the peak to about 4.5 times the file.
+    assert size > 4 * 10 ** 6
+    assert peak < 2 * size + (64 << 10), (peak, size)
+
+
 def test_format_1_table_simulates_like_its_format_2_twin(tmp_path, capsys):
     from mergekit.mergesplit import merge_protocol
     from mergekit.qcore import random_ket
@@ -650,6 +676,14 @@ def _break_first_op(table, how):
         o["val"][0] = [float("inf"), 0.0]
     elif how == "unknown-format":
         table["format"] = 3
+    elif how == "unknown-format-and-broken-operator":
+        table["format"] = 3
+        o["nz"][0] = 0.5                    # read into an array as parsed
+        o["val"][0] = [float("inf"), "x"]   # left a list as parsed
+    elif how == "fractional-in-dims":
+        o["in_dims"] = [2, 2.0]
+    elif how == "boolean-out-dims":
+        o["out_dims"] = [True]
     return table
 
 
@@ -664,6 +698,12 @@ def _break_first_op(table, how):
     ("val-length", "indices nz but val is not a list of as many"),
     ("non-finite-pair", "complex entries must be finite"),
     ("unknown-format", "unknown protocol table format 3"),
+    ("unknown-format-and-broken-operator",
+     "unknown protocol table format 3"),
+    ("fractional-in-dims",
+     "an entry of an operator's in_dims must be an integer, got 2.0"),
+    ("boolean-out-dims",
+     "an entry of an operator's out_dims must be an integer, got True"),
 ])
 def test_malformed_sparse_table_exits_2(tmp_path, capsys, how, message):
     from mergekit.locc import one_way_to_locc, teleport_protocol
@@ -854,6 +894,7 @@ def test_msize_scan_of_a_repeated_gate_circuit(tmp_path, capsys):
 
 
 TREE_DICT = {"n": 3, "parent": {"2": 1, "3": 1}}
+GHZ_DICT = serialize.ket_to_dict(states.ghz(3, 2))
 SCHEDULE_DICT = {"config": {"1": 2, "2": 1}, "steps": [
     {"op": "send", "from": [1, 0], "to": [2, 0]}]}
 
@@ -879,9 +920,15 @@ SCHEDULE_DICT = {"config": {"1": 2, "2": 1}, "steps": [
     ("dynamic", {**SCHEDULE_DICT, "steps": [
         {"op": "send", "from": [1, 0.5], "to": [2, 0]}]},
      "an entry of a send's 'from' must be an integer, got 0.5"),
+    ("ki", {**GHZ_DICT, "dims": [2.9, 2, 2.5]},
+     "an entry of dims must be an integer, got 2.9"),
+    ("ki", {**GHZ_DICT, "dims": [2, True, 2, 2]},
+     "an entry of dims must be an integer, got True"),
+    ("ki", {**GHZ_DICT, "dims": 8}, "dims must be a list, got 8"),
 ], ids=["gate-fraction", "n-qubits-fraction", "gates-number", "gate-null",
         "circuit-list", "parent-fraction", "parent-list", "tree-list",
-        "slot-count-fraction", "schedule-list", "send-fraction"])
+        "slot-count-fraction", "schedule-list", "send-fraction",
+        "dims-fraction", "dims-boolean", "dims-number"])
 def test_integer_fields_are_read_exactly(tmp_path, capsys, command, data,
                                          message):
     path = tmp_path / "input.json"
@@ -895,6 +942,8 @@ def test_integer_fields_are_read_exactly(tmp_path, capsys, command, data,
         argv = ["net", "spread", str(path), str(cpath)]
     elif command == "dynamic":
         argv = ["msize", "dynamic", str(path)]
+    elif command == "ki":
+        argv = ["ki", str(path)]
     else:
         argv = ["msize", command, "--circuit", str(path)]
     code, out, err = _run(argv, capsys)

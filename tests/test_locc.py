@@ -590,11 +590,12 @@ def test_incomplete_instrument_on_one_branch_is_named():
     audit_protocol(LoccProtocol({"A": (1,), "B": (2,)}, rounds))
 
 
-def test_simulate_builds_one_ket_per_returned_branch(monkeypatch):
+def test_simulate_returns_branch_states_as_row_views(monkeypatch):
     import mergekit.qcore as qcore
 
     proto = LoccProtocol({"A": (1,), "B": (2,)}, _mixed_shape_rounds())
     inp = random_ket([2, 2, 3], RNG)
+    tele_inp = random_ket([3], RNG).kron(states.max_entangled(3))
     calls = []
     init = qcore.Ket.__init__
 
@@ -604,12 +605,50 @@ def test_simulate_builds_one_ket_per_returned_branch(monkeypatch):
 
     monkeypatch.setattr(qcore.Ket, "__init__", counting_init)
     branches = simulate(proto, inp)
-    assert len(calls) == len(branches)
-    calls.clear()
+    assert not calls                # no Ket is built, per round or branch
+    for b in branches:
+        amps = b.state.amps
+        assert isinstance(b.state, Ket) and not b.state.normalized
+        assert amps.base is not None and not amps.flags.writeable
+        assert amps.shape == (int(np.prod(b.state.dims)),)
+        assert b.state.tensor().shape == b.state.dims
     teleported = simulate(
-        one_way_to_locc(teleport_protocol(3), (0, 1), (2,)),
-        random_ket([3], RNG).kron(states.max_entangled(3)))
-    assert len(calls) == len(teleported) + 2      # the two input kets
+        one_way_to_locc(teleport_protocol(3), (0, 1), (2,)), tele_inp)
+    assert not calls
+    # the branches of one layout view consecutive rows of one frozen stack,
+    # which stacks back without a copy
+    from mergekit.locc import _stack_of
+
+    base = teleported[0].state.amps.base
+    assert not base.flags.writeable
+    rows = _stack_of([b.state.amps for b in teleported])
+    assert rows.base is base and rows.shape == (len(teleported), 3)
+    assert all(np.array_equal(r, b.state.amps)
+               for r, b in zip(rows, teleported))
+
+
+def test_branch_fidelities_read_a_large_family_of_row_views_in_place():
+    import tracemalloc
+
+    from mergekit.locc import _ket_views, branch_fidelities
+
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(128, 1024)) + 1j * rng.normal(size=(128, 1024))
+    want = branch_fidelities(stack.copy(), stack[3])
+    rows = [k.amps for k in _ket_views(stack, (1024,))]   # 2 MiB of rows
+    tracemalloc.start()
+    try:
+        got = branch_fidelities(rows, stack[3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # the norms' conjugate takes one stack's worth; a stacked copy of the
+    # rows would take another
+    assert peak < 1.5 * stack.nbytes, peak
+    # rows out of order are copied, and read the same
+    assert np.array_equal(branch_fidelities(rows[::-1], stack[3]),
+                          want[::-1])
 
 
 def test_completeness_audit_reuses_a_stack_only_its_own_views_form():

@@ -694,3 +694,73 @@ def test_receiver_extension_is_canonical(monkeypatch):
         assert set(jumped) <= set(range(len(deficits)))
         for a, b in zip(base[:len(deficits)], moved):
             assert np.max(np.abs(a.mat - b.mat)) <= 1e-12
+
+
+def _tiled_fourier_combine(terms, n1, n2, weights, shape):
+    """The block-Fourier combination over a tiled replica
+    (n1, n2, n_blocks, rows, cols) of every block's terms, taken as one
+    product: the reference that the chunked combination must reproduce."""
+    n_blocks = weights.shape[1]
+    rows, cols = shape
+    tiled = np.empty((n1, n2, n_blocks, rows, cols), dtype=complex)
+    for j, t in enumerate(terms):
+        nj, n2j = t.shape[:2]
+        view = tiled.reshape(n1 // nj, nj, n2 // n2j, n2j, n_blocks,
+                             rows, cols)
+        view[:, :, :, :, j] = t[None, :, None]
+    out = weights @ tiled.reshape(n1 * n2, n_blocks, rows * cols)
+    return out.reshape(-1, rows, cols)
+
+
+def test_fourier_combine_matches_the_tiled_product_bit_for_bit(monkeypatch):
+    import mergekit.mergesplit as ms
+
+    rng = np.random.default_rng(23)
+    rows, cols = 5, 3
+    n1, n2 = 6, 4
+    # four blocks with unequal label counts (n_out_j, n2_j), and a lone
+    # block that covers every pair (n_out_j, n2_j) = (n1, n2)
+    for labels in ([(2, 1), (3, 4), (6, 2), (1, 4)], [(6, 4)]):
+        terms = [rng.normal(size=(nj, n2j, rows, cols))
+                 + 1j * rng.normal(size=(nj, n2j, rows, cols))
+                 for nj, n2j in labels]
+        n_blocks = len(labels)
+        fourier = np.exp(-2j * np.pi * np.outer(
+            np.arange(n_blocks), np.arange(n_blocks)) / n_blocks)
+        weights = fourier * rng.uniform(0.1, 1.0, size=n_blocks)
+        want = _tiled_fourier_combine(terms, n1, n2, weights, (rows, cols))
+        pair_bytes = n_blocks * rows * cols * 16
+        # one product over all 24 pairs, one pair per product, and chunks
+        # of 5 and 7 pairs, which end inside an m1 row and leave a short
+        # last chunk
+        for chunk_bytes in (ms._COMBINE_BYTES, 1, 5 * pair_bytes,
+                            7 * pair_bytes + 1):
+            monkeypatch.setattr(ms, "_COMBINE_BYTES", chunk_bytes)
+            got = ms._fourier_combine(terms, n1, n2, weights, (rows, cols))
+            assert got.shape == (n1 * n2 * n_blocks, rows, cols)
+            assert got.tobytes() == want.tobytes(), (labels, chunk_bytes)
+            monkeypatch.undo()
+
+
+def test_merge_protocol_holds_its_receiver_family_once():
+    import tracemalloc
+
+    from mergekit import twoway
+
+    inst = twoway.default_instance()
+    ki = ki_decompose_tripartite(inst.psi)
+    tracemalloc.start()
+    try:
+        proto = merge_protocol(inst.psi, "non-catalytic", ki=ki)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacks = {}
+    for op in proto.one_way.a_ops + proto.one_way.b_ops:
+        base = op.mat if op.mat.base is None else op.mat.base
+        stacks[id(base)] = base.nbytes
+    held = sum(stacks.values())
+    # the 96 receiver operators (363 x 22) are most of it; a replica of
+    # the family tiled per block would take the peak to twice the result
+    assert held > 12 * 10 ** 6
+    assert peak < 1.5 * held, (peak, held)
