@@ -12,7 +12,7 @@ block subspace is their span and the implied isometry sends ``w[l, r]`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -378,7 +378,7 @@ class KITripartiteBlock:
     def dim_bright(self):
         return self.phi.shape[2]
 
-    @property
+    @cached_property
     def omega_spectrum(self):
         """Descending eigenvalues of the left-factor marginal of omega."""
         m = self.omega @ self.omega.conj().T
@@ -392,6 +392,9 @@ class TripartiteKI:
     psi: Ket
     partition_a: KIPartition
     blocks: list = field(default_factory=list)
+    # merge cost reports per (setting, delta), filled by ``mergesplit``
+    _reports: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def probs(self):

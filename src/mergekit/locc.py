@@ -114,6 +114,7 @@ class ProtocolOp:
     mat: np.ndarray
     in_dims: tuple
     out_dims: tuple
+    _stack = None       # set on the row views of ``_op_views``
 
     def __init__(self, mat, in_dims, out_dims):
         mat = np.asarray(mat, dtype=complex)
@@ -132,7 +133,7 @@ class ProtocolOp:
 def _op_views(stack: np.ndarray, in_dims, out_dims) -> list:
     """One ``ProtocolOp`` per matrix of a stack (n, rows, cols) that the
     caller owns and hands over: the stack is frozen and each operator views
-    its slice instead of copying it."""
+    its slice instead of copying it, and records the stack and its row."""
     in_dims = tuple(int(d) for d in in_dims)
     out_dims = tuple(int(d) for d in out_dims)
     if (stack.dtype != complex or stack.ndim != 3
@@ -141,60 +142,38 @@ def _op_views(stack: np.ndarray, in_dims, out_dims) -> list:
                          f"{out_dims} x {in_dims}")
     _frozen(stack)
     ops = []
-    for mat in stack:
+    for row, mat in enumerate(stack):
         op = object.__new__(ProtocolOp)
-        object.__setattr__(op, "mat", mat)
-        object.__setattr__(op, "in_dims", in_dims)
-        object.__setattr__(op, "out_dims", out_dims)
+        op.__dict__.update(mat=mat, in_dims=in_dims, out_dims=out_dims,
+                           _stack=stack, _row=row)
         ops.append(op)
     return ops
 
 
 def _isometry_deviation(mats) -> np.ndarray:
-    """max |M^dag M - 1| for every matrix of a sequence or a stack, with
-    one stacked Gram per chunk of equal-shape matrices."""
-    if isinstance(mats, np.ndarray):
-        groups = [(range(len(mats)), mats)]
-    else:
-        shapes = {}
-        for i, m in enumerate(mats):
-            shapes.setdefault(m.shape, []).append(i)
-        groups = [(idx, [mats[i] for i in idx]) for idx in shapes.values()]
+    """max |M^dag M - 1| for every matrix of a stack or of a list of
+    equal-shape matrices, with one stacked Gram per chunk."""
     dev = np.empty(len(mats))
-    for idx, same in groups:
-        for j in range(0, len(idx), _CHUNK):
-            chunk = np.asarray(same[j:j + _CHUNK])
-            gram = np.conj(chunk.transpose(0, 2, 1)) @ chunk
-            diag = np.arange(gram.shape[2])
-            gram[:, diag, diag] -= 1.0
-            dev[idx[j:j + _CHUNK]] = np.abs(gram).max(axis=(1, 2))
+    for j in range(0, len(mats), _CHUNK):
+        chunk = np.asarray(mats[j:j + _CHUNK])
+        gram = np.conj(chunk.transpose(0, 2, 1)) @ chunk
+        diag = np.arange(gram.shape[2])
+        gram[:, diag, diag] -= 1.0
+        dev[j:j + _CHUNK] = np.abs(gram).max(axis=(1, 2))
     return dev
 
 
-def _stack_of(arrays) -> np.ndarray:
-    """``np.stack(arrays)``; when the arrays are consecutive C-ordered
-    pieces of one frozen C-ordered array, as ``_op_views`` and
-    ``_ket_views`` make them, the view of that array they tile instead of
-    a copy."""
-    first = arrays[0]
-    base = first.base
-    if (isinstance(base, np.ndarray) and base.dtype == first.dtype
-            and base.flags.c_contiguous and not base.flags.writeable
-            and first.flags.c_contiguous):
-        start, rem = divmod(_address(first) - _address(base), first.itemsize)
-        stop = start + first.size * len(arrays)
-        if (not rem and 0 <= start and stop <= base.size
-                and all(a.base is base and a.shape == first.shape
-                        and a.flags.c_contiguous
-                        and _address(a) == _address(first) + j * first.nbytes
-                        for j, a in enumerate(arrays))):
-            return base.reshape(-1)[start:stop].reshape(
-                (len(arrays),) + first.shape)
-    return np.stack(arrays)
-
-
-def _address(a: np.ndarray) -> int:
-    return a.ctypes.data
+def _stack_of(items, attr: str = "mat", copy: bool = True):
+    """The items' arrays (``attr``) as one stack: the rows of the stack
+    that ``_op_views`` or ``_ket_views`` made them from, when their records
+    show consecutive rows of it; else ``np.stack``, or their list."""
+    stack = items[0]._stack
+    if stack is not None:
+        rows = [x._row for x in items if x._stack is stack]
+        if rows == list(range(rows[0], rows[0] + len(items))):
+            return stack[rows[0]:rows[0] + len(items)]
+    arrays = [getattr(x, attr) for x in items]
+    return np.stack(arrays) if copy else arrays
 
 
 def _check_complete(ops, what, tol=COMPLETENESS_TOL):
@@ -213,7 +192,7 @@ def _check_complete(ops, what, tol=COMPLETENESS_TOL):
     stacks = []
     acc = np.zeros((din, din), dtype=complex)
     for (in_dims, out_dims), idx in groups.items():
-        stack = _stack_of([ops[m].mat for m in idx])
+        stack = _stack_of([ops[m] for m in idx])
         flat = stack.reshape(-1, din)
         acc += flat.conj().T @ flat
         stacks.append((idx, in_dims, out_dims, stack))
@@ -299,10 +278,12 @@ def _audit_round(rnd, outcomes):
 
     Returns the key per branch and, per reachable key, its operator groups
     as ((in_dims, out_dims, outcome indices), ...) with one stack per
-    group.  Each reachable instrument is audited once; single-operator
-    instruments of one shape share one stacked Gram check.  Failures come back as
-    (branch index, error) for the first branch that reaches them, so the
-    caller can raise the first in branch order."""
+    group.  Each reachable instrument is audited once.  Single-operator
+    instruments of one signature share one stacked Gram check, read in
+    place when they are consecutive rows of one family (``_stack_of``);
+    such a family's rows come back per signature, with each key's row.
+    Failures come back as (branch index, error) for the first branch that
+    reaches them, so the caller can raise the first in branch order."""
     inst = rnd.instruments
     keys, first, failures = [], {}, []
     for i, o in enumerate(outcomes):
@@ -313,13 +294,12 @@ def _audit_round(rnd, outcomes):
             break
         keys.append(key)
         first.setdefault(key, i)
-    groups, singles = {}, []
+    groups, singles, by_sig, rows = {}, {}, {}, {}
     for key in first:
         ops = inst[key]
         if len(ops) == 1:
-            op = ops[0]
-            singles.append(key)
-            groups[key] = (((op.in_dims, op.out_dims, (0,)),), [op.mat[None]])
+            sig = ((ops[0].in_dims, ops[0].out_dims, (0,)),)
+            singles.setdefault(sig, []).append(key)
             continue
         try:
             stacks = _check_complete(
@@ -329,13 +309,19 @@ def _audit_round(rnd, outcomes):
             continue
         groups[key] = (tuple((i, o, tuple(idx)) for idx, i, o, _ in stacks),
                        [st for *_, st in stacks])
-    dev = _isometry_deviation([inst[k][0].mat for k in singles])
-    for j in np.flatnonzero(dev > COMPLETENESS_TOL):
-        key = singles[j]
-        failures.append((first[key], 0, CompletenessError(
-            f"round for {rnd.party} given {key} completeness deviates "
-            f"by {dev[j]:.3e}")))
-    return keys, groups, failures
+    for sig, ks in singles.items():
+        ops = [inst[k][0] for k in ks]
+        stack = _stack_of(ops, copy=False)
+        if isinstance(stack, np.ndarray):
+            by_sig[sig] = stack
+        for j, (key, dev) in enumerate(zip(ks, _isometry_deviation(stack))):
+            if dev > COMPLETENESS_TOL:
+                failures.append((first[key], 0, CompletenessError(
+                    f"round for {rnd.party} given {key} completeness "
+                    f"deviates by {dev:.3e}")))
+            else:
+                groups[key], rows[key] = (sig, [ops[j].mat[None]]), j
+    return keys, groups, failures, by_sig, rows
 
 
 def audit_protocol(protocol: LoccProtocol):
@@ -358,7 +344,7 @@ def _simulate_round(rnd, outcomes, probs, blocks, where, prune):
     their norms and the prune rule vectorised.  The children come back in
     lexicographic order of their outcome tuples, regrouped into blocks by
     their new layout."""
-    keys, groups, failures = _audit_round(rnd, outcomes)
+    keys, groups, failures, singles, at = _audit_round(rnd, outcomes)
     batches = {}
     for i, key in enumerate(keys):
         if key in groups:           # else its audit failed
@@ -385,13 +371,23 @@ def _simulate_round(rnd, outcomes, probs, blocks, where, prune):
         rest_owners = tuple(owners[k] for k in rest)
         n_before = len([k for k in rest if k < min(positions, default=0)])
         rows = [where[i][1] for i in idx]
+        if rows == list(range(rows[0], rows[0] + len(rows))):
+            rows = slice(rows[0], rows[0] + len(rows))
         t = amps[rows].reshape((len(idx),) + dims)
         t = np.transpose(t, [0] + [1 + k for k in positions + rest])
         t = t.reshape(len(idx), 1, math.prod(dims[p] for p in positions), -1)
         bkeys = [keys[i] for i in idx]
         shared = bkeys.count(bkeys[0]) == len(bkeys)
         for g, (_, op_out, labels) in enumerate(sig):
-            if shared:                  # (branch, op, out, rest)
+            if sig in singles:          # rows of the signature's stack
+                pick = [at[k] for k in bkeys]
+                mats = singles[sig][:, None]    # (branch, op, out, in)
+                out = (mats[pick[0]:pick[0] + len(pick)] @ t
+                       if pick == list(range(pick[0], pick[0] + len(pick)))
+                       else np.concatenate([
+                           mats[pick[j:j + _CHUNK]] @ t[j:j + _CHUNK]
+                           for j in range(0, len(pick), _CHUNK)]))
+            elif shared:                # (branch, op, out, rest)
                 out = groups[bkeys[0]][1][g][None] @ t
             else:
                 mats = [groups[k][1][g] for k in bkeys]
@@ -483,32 +479,27 @@ def simulate(protocol: LoccProtocol, input_state: Ket,
 
 def _ket_views(stack: np.ndarray, dims: tuple) -> list:
     """One unnormalized ``Ket`` per row of a complex stack (n, prod(dims))
-    that the caller hands over: the stack and the array owning its memory
-    are frozen, so that ``_stack_of`` reads the rows back in place, and
-    each state views its row instead of copying it."""
+    that the caller hands over: the stack is frozen and each state views
+    its row instead of copying it, and records the stack and its row."""
     _frozen(stack)
-    if isinstance(stack.base, np.ndarray):
-        _frozen(stack.base)
     kets = []
-    for amps in stack:
+    for row, amps in enumerate(stack):
         ket = object.__new__(Ket)
-        object.__setattr__(ket, "amps", amps)
-        object.__setattr__(ket, "dims", dims)
-        object.__setattr__(ket, "normalized", False)
+        ket.__dict__.update(amps=amps, dims=dims, normalized=False,
+                            _stack=stack, _row=row)
         kets.append(ket)
     return kets
 
 
-def branch_fidelities(amps, target) -> np.ndarray:
+def branch_fidelities(states, target) -> np.ndarray:
     """|<target|a>|^2 / (|a|^2 |target|^2) for every row ``a`` of the
-    stacked branch amplitudes ``amps`` (n, ...), in one product.  A list of
-    the row views that ``simulate`` returns is read in place when a copy
-    would take 1 MiB or more; below that, the per-row check costs more
-    than the copy."""
-    if isinstance(amps, list) and len(amps) * amps[0].nbytes >= 1 << 20:
-        a = _stack_of(amps).reshape(len(amps), -1)
+    stacked branch amplitudes ``states`` (n, ...), in one product.  A list
+    of the states that ``simulate`` returns is read in place where they
+    are consecutive rows of one stack (``_stack_of``)."""
+    if isinstance(states, list) and isinstance(states[0], Ket):
+        a = _stack_of(states, "amps").reshape(len(states), -1)
     else:
-        a = np.asarray(amps).reshape(len(amps), -1)
+        a = np.asarray(states).reshape(len(states), -1)
     t = np.asarray(target).reshape(-1)
     if a.shape[1] != t.size:
         raise ValueError(f"state sizes differ: {a.shape[1]} vs {t.size}")
@@ -550,9 +541,8 @@ def distill_to_max_entangled(source: Ket, target_rank: int,
     b_ops = _op_views(_extend_isometry(b_all.reshape(n, L * junk, dim_b),
                                        dim_b), b_in, (L, junk))
 
-    a_all = np.array(a_mats)
-    extra = _completion_ops(a_all.reshape(-1, dim_a), L, 1e-12)
-    a_ops = _op_views(np.concatenate([a_all, extra]), a_in, (L,))
+    extra = _completion_ops(a_mats.reshape(-1, dim_a), L, 1e-12)
+    a_ops = _op_views(np.concatenate([a_mats, extra]), a_in, (L,))
     return OneWayProtocol(a_ops, b_ops + b_ops[:1] * len(extra))
 
 
@@ -723,11 +713,12 @@ def uniform_distill(source: Ket, target_rank: int, cut: Bipartition = None):
     """Conversion of a bipartite pure state into the rank-L maximally
     entangled state whose outcomes all carry the same probability.
 
-    Returns (sender matrices, receiver maps, n): n sender operators M_t of
-    shape (L, dim_sender) and matching receiver co-isometries of shape
-    (L, dim_receiver), where n is the Schmidt rank; every branch maps the
-    source to the target with amplitude 1/sqrt(n).  The sender family resolves the identity on the Schmidt
-    support only; callers restore global completeness.
+    Returns (sender matrices, receiver maps, n): stacks of n sender
+    operators M_t, (n, L, dim_sender), and of the matching receiver
+    co-isometries, (n, L, dim_receiver), where n is the Schmidt rank; every
+    branch maps the source to the target with amplitude 1/sqrt(n).  The
+    sender family resolves the identity on the Schmidt support only;
+    callers restore global completeness.
     """
     if cut is None:
         cut = Bipartition([0], nsys=source.nsys)
@@ -743,20 +734,14 @@ def uniform_distill(source: Ket, target_rank: int, cut: Bipartition = None):
     if n < L:
         raise InfeasibleError(
             f"rank {n} source cannot reach rank {L}")
-    ua = np.zeros((n, dim_a), dtype=complex)
-    ub = np.zeros((n, dim_b), dtype=complex)
-    for i in range(n):
-        ua[i] = form.left_basis[i].amps.conj()
-        ub[i] = form.right_basis[i].amps.conj()
+    ua = np.conj([b.amps for b in form.left_basis])
+    ub = np.conj([b.amps for b in form.right_basis])
     u = _projector_with_diagonal(L * lam, L)
     c0 = u.conj().T[:L, :]          # rows of U^dag
     inv_sqrt = 1.0 / np.sqrt(lam)
-    a_mats, b_mats = [], []
-    omega = np.exp(2j * np.pi / n)
-    for t in range(n):
-        d_t = omega ** (t * np.arange(n))
-        m_coord = (c0 * d_t[None, :]) * inv_sqrt[None, :] / np.sqrt(n * L)
-        a_mats.append(m_coord @ ua)
-        v_coord = (c0 * d_t[None, :]).conj()
-        b_mats.append(v_coord @ ub)
-    return a_mats, b_mats, n
+    # outcome t puts the phase omega^(t k) on Schmidt coordinate k
+    phases = np.exp(2j * np.pi / n) ** np.multiply.outer(np.arange(n),
+                                                         np.arange(n))
+    m_coord = (c0 * phases[:, None, :]) * inv_sqrt / np.sqrt(n * L)
+    v_coord = (c0 * phases[:, None, :]).conj()
+    return m_coord @ ua, v_coord @ ub, n

@@ -47,7 +47,7 @@ class MergeCostReport:
     non_catalytic_cost: float
     resource_rank: int          # K
     returned_rank: int          # L
-    per_block: list
+    per_block: tuple
     oversized: bool = False
 
     def __post_init__(self):
@@ -93,7 +93,7 @@ def fraction_in_interval(lo: float, hi: float, max_den: int = 10 ** 6):
     return f
 
 
-def _block_costs(ki: TripartiteKI):
+def _block_costs(ki: TripartiteKI) -> tuple:
     out = []
     for j, blk in enumerate(ki.blocks):
         lam0 = float(blk.omega_spectrum[0])
@@ -103,33 +103,41 @@ def _block_costs(ki: TripartiteKI):
             "dim_right": blk.dim_right,
             "block_cost": float(np.log2(lam0 * blk.dim_right)),
         })
-    return out
+    return tuple(out)
 
 
 def merge_cost_noncatalytic(ki: TripartiteKI) -> MergeCostReport:
     """Resource rank K = max over blocks of ceil(lambda0 * dimR), nothing
-    returned afterwards."""
-    per_block = _block_costs(ki)
-    k = max(_ceil_tol(b["lambda0_left"] * b["dim_right"]) for b in per_block)
+    returned afterwards.  Computed once per decomposition, like
+    ``merge_cost_catalytic``."""
+    if "non-catalytic" in ki._reports:
+        return ki._reports["non-catalytic"]
+    cat = merge_cost_catalytic(ki, delta=1e-3)
+    k = max(_ceil_tol(b["lambda0_left"] * b["dim_right"])
+            for b in cat.per_block)
     k = max(k, 1)
     non_cat = float(np.log2(k))
-    cat = merge_cost_catalytic(ki, delta=1e-3).catalytic_cost
-    return MergeCostReport(
-        catalytic_cost=min(cat, non_cat),
+    report = ki._reports["non-catalytic"] = MergeCostReport(
+        catalytic_cost=min(cat.catalytic_cost, non_cat),
         non_catalytic_cost=non_cat,
         resource_rank=k,
         returned_rank=1,
-        per_block=per_block,
+        per_block=cat.per_block,
     )
+    return report
 
 
 def merge_cost_catalytic(ki: TripartiteKI, delta: float = 1e-3) -> MergeCostReport:
     """Rational-approximation construction: K is a common multiple of the
     per-block resource ranks and L the returned rank, with
     log2 K - log2 L within delta of the exact block bound and never above
-    the non-catalytic cost."""
+    the non-catalytic cost.  The report is kept on the decomposition, so
+    it is computed once per delta and synthesis cap."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    key = ("catalytic", delta, K_EXPLOSION_CAP)
+    if key in ki._reports:
+        return ki._reports[key]
     per_block = _block_costs(ki)
     j0 = max(range(len(per_block)), key=lambda j: per_block[j]["block_cost"])
     lam0 = per_block[j0]["lambda0_left"]
@@ -150,7 +158,7 @@ def merge_cost_catalytic(ki: TripartiteKI, delta: float = 1e-3) -> MergeCostRepo
     non_cat = max(_ceil_tol(b["lambda0_left"] * b["dim_right"])
                   for b in per_block)
     non_cat = max(non_cat, 1)
-    return MergeCostReport(
+    report = ki._reports[key] = MergeCostReport(
         catalytic_cost=cost,
         non_catalytic_cost=float(np.log2(non_cat)),
         resource_rank=k,
@@ -158,6 +166,7 @@ def merge_cost_catalytic(ki: TripartiteKI, delta: float = 1e-3) -> MergeCostRepo
         per_block=per_block,
         oversized=k > K_EXPLOSION_CAP,
     )
+    return report
 
 
 def merge_converse_search(psi: Ket, l_max: int = None, k_max: int = None) -> ConverseReport:
@@ -216,14 +225,14 @@ def merge_converse_search(psi: Ket, l_max: int = None, k_max: int = None) -> Con
 
 def _padded_prefix_sums(ev: np.ndarray, r_max: int, n: int) -> np.ndarray:
     """Row r - 1 holds the prefix sums of the descending spectrum of
-    (1/r) 1_r x diag(ev), padded to length n with its total."""
+    (1/r) 1_r x diag(ev), padded to length n with its total: one cumsum
+    along rows that repeat each entry r times and then hold zeros."""
     desc = np.sort(ev)[::-1]
-    out = np.empty((r_max, n))
-    for r in range(1, r_max + 1):
-        c = np.cumsum(np.repeat(desc * (1.0 / r), r))
-        out[r - 1, :c.size] = c
-        out[r - 1, c.size:] = c[-1]
-    return out
+    r = np.arange(1, r_max + 1)
+    rows = np.zeros((r_max, n))
+    rows[np.arange(n) < (r * desc.size)[:, None]] = np.repeat(
+        desc * (1.0 / r)[:, None], np.repeat(r, desc.size))
+    return rows.cumsum(axis=1)
 
 
 def split_min_cost(psi: Ket) -> float:
@@ -274,8 +283,7 @@ def split_protocol(psi: Ket, resource_rank: int):
                                for m2 in range(k * k)])   # (k*k, dm*junk, k)
 
     extra = _completion_ops(a_all.reshape(-1, dm * k), 1, 1e-12)
-    a_ops = (_op_views(a_all, (dm, k), (1,))
-             + _op_views(extra, (dm, k), (1,)))
+    a_ops = _op_views(np.concatenate([a_all, extra]), (dm, k), (1,))
     b_ops = (_op_views(b_all, (k,), (dm, junk))
              + [ProtocolOp(decode, (k,), (dm, junk))] * len(extra))
     proto = OneWayProtocol(a_ops, b_ops)
@@ -405,25 +413,24 @@ def merge_protocol(psi: Ket, setting: str = "non-catalytic",
         [_block_a_terms(blk, s, setting, k_total, l_total, da)
          for blk, s in zip(blocks, sub)],
         n1, n2, fourier * scales, (l_total, da * k_total))
-    a_ops = _op_views(a_all, (da, k_total), (l_total,))
-    if not sender_only:
-        b_all = _fourier_combine(
-            [_block_b_terms(blk, s, setting, k_total, l_total, da, db, junk)
-             for blk, s in zip(blocks, sub)],
-            n1, n2, fourier.conj(), (d_out_b, db * k_total))
-        b_ops = _op_views(_extend_isometry(b_all, db * k_total),
-                          (db, k_total), out_b_dims)
-
     # completion outcomes for directions outside the blocks' reach
     extra = _completion_ops(a_all.reshape(-1, da * k_total), l_total, 1e-10)
-    a_ops += _op_views(extra, (da, k_total), (l_total,))
+    a_ops = _op_views(np.concatenate([a_all, extra]), (da, k_total),
+                      (l_total,))
     if sender_only:
         b_ops = [ProtocolOp(np.eye(db * k_total), (db, k_total),
                             (db, k_total))] * len(a_ops)
     else:
-        # the canonical extension of the zero map: the leading rows of 1
-        b_ops += [ProtocolOp(np.eye(d_out_b, db * k_total), (db, k_total),
-                             out_b_dims)] * len(extra)
+        b_all = _fourier_combine(
+            [_block_b_terms(blk, s, setting, k_total, l_total, da, db, junk)
+             for blk, s in zip(blocks, sub)],
+            n1, n2, fourier.conj(), (d_out_b, db * k_total))
+        # the completion outcomes take the canonical extension of the zero
+        # map: the leading rows of 1
+        b_ops = (_op_views(_extend_isometry(b_all, db * k_total),
+                           (db, k_total), out_b_dims)
+                 + [ProtocolOp(np.eye(d_out_b, db * k_total), (db, k_total),
+                               out_b_dims)] * len(extra))
     proto = OneWayProtocol(a_ops, b_ops)
     return MergeProtocol(one_way=proto, resource_rank=k_total,
                          returned_rank=l_total, setting=setting,
@@ -466,9 +473,53 @@ def _fourier_combine(terms, n1, n2, weights, shape):
     return out.reshape(-1, *shape)
 
 
-# Fixed contraction orders for the per-block einsums, so that no call
-# searches for a path: the Bell bras meet the ambient vectors first.
-_BRAS_FIRST = ["einsum_path", (1, 2), (0, 1)]
+# Fixed contraction order for the sender's per-block einsums: the Bell
+# bras meet the ambient vectors first.
+_BRAS_FIRST = [(1, 2), (0, 1)]
+
+
+def _contract(spec, path, *ops):
+    """``np.einsum(spec, *ops, optimize=["einsum_path", *path])`` bit for
+    bit, without planning the path on every call: as numpy does, each step
+    pops the later operand of its pair first, an intermediate orders its
+    indices by (size, letter), and the pair is taken by ``_pair``."""
+    terms, final = spec.split("->")
+    terms, ops = terms.split(","), list(ops)
+    size = {k: d for t, x in zip(terms, ops) for k, d in zip(t, x.shape)}
+    for i, j in path:
+        sa, a, sb, b = terms.pop(j), ops.pop(j), terms.pop(i), ops.pop(i)
+        need = set(final).union(*terms)
+        out = "".join(sorted(set(sa + sb) & need, key=lambda k: (size[k], k))
+                      ) if terms else final
+        terms.append(out)
+        ops.append(_pair(sa, a, sb, b, out, size))
+    return ops[0]
+
+
+def _pair(sa, a, sb, b, out, size):
+    """The step ``sa,sb->out`` as numpy's einsum takes a pair without batch
+    indices: size-1 indices are summed out of each operand, the rest are
+    transposed to (kept, summed) and (summed, kept) and fused for one
+    matmul, or, when every summed index has size 1, multiplied elementwise
+    in the output's order.  (A reshape to an array's own shape is a no-op,
+    as numpy's skipping it is.)"""
+    def prep(s, x, want):
+        return x if s == want else np.einsum(f"{s}->{want}", x)
+
+    con = [k for k in sa if k in sb and k not in out and size[k] > 1]
+    if not con:
+        return np.multiply(*(
+            prep(s, x, "".join(k for k in out if k in s)).reshape(
+                [size[k] if k in s else 1 for k in out])
+            for s, x in ((sa, a), (sb, b))))
+    ka = [k for k in sa if k not in sb and k in out and size[k] > 1]
+    kb = [k for k in sb if k not in sa and k in out and size[k] > 1]
+    a, b = (prep(s, x, "".join(lo + hi)).reshape(
+                math.prod(size[k] for k in lo), math.prod(size[k] for k in hi))
+            for s, x, lo, hi in ((sa, a, ka, con), (sb, b, con, kb)))
+    made = [k for k in out if size[k] == 1] + ka + kb
+    return (a @ b).reshape([size[k] for k in made]).transpose(
+        [made.index(k) for k in out])
 
 
 def _block_a_terms(blk, s, setting, k_total, l_total, da):
@@ -484,15 +535,14 @@ def _block_a_terms(blk, s, setting, k_total, l_total, da):
 
     if setting == "catalytic":
         d1 = np.reshape(s["a_mats"], (n_out, s["target"], dl, kj))
-        core = np.einsum("uxlc,vrd,lra->uvxadc", d1, bras, grid_bra,
-                         optimize=_BRAS_FIRST)  # (.., lj, da, dj, kj)
+        core = _contract("uxlc,vrd,lra->uvxadc", _BRAS_FIRST, d1, bras,
+                         grid_bra)  # (.., lj, da, dj, kj)
         # the rj resource copies pass through untouched
         out = np.einsum("uvxadc,st->uvxsadct", core, np.eye(rj))
         return out.reshape(n_out, -1, l_total, da * k_total)
 
     d1 = np.reshape(s["a_mats"], (n_out, dj, dl, k_total))
-    core = np.einsum("uxlk,vrx,lra->uvak", d1, bras, grid_bra,
-                     optimize=_BRAS_FIRST)
+    core = _contract("uxlk,vrx,lra->uvak", _BRAS_FIRST, d1, bras, grid_bra)
     return core.reshape(n_out, -1, 1, da * k_total)
 
 
@@ -511,15 +561,14 @@ def _block_b_terms(blk, s, setting, k_total, l_total, da, db, junk):
     q_coord = w_embed.conj().transpose(1, 2, 0)  # (p, q, b) coordinate bras
     # outcome-independent factors: omega, the ambient vectors grid_a,
     # the receiver map and the coordinate bras
-    fixed = np.einsum("lP,lrA,BPq,pqb->rABpb", blk.omega, blk.grid_a,
-                      w_embed, q_coord,
-                      optimize=["einsum_path", (2, 3), (0, 1), (0, 1)])
+    fixed = _contract("lP,lrA,BPq,pqb->rABpb", [(2, 3), (0, 1), (0, 1)],
+                      blk.omega, blk.grid_a, w_embed, q_coord)
     d_rows = da * db * l_total * junk
 
     if setting == "catalytic":
         dwb = np.reshape(s["b_mats"], (n_out, lj, bl, kj))
-        core = np.einsum("vrd,rABpb,uxpc->uvABxbdc", sigma_t, fixed, dwb,
-                         optimize=["einsum_path", (1, 2), (0, 1)])
+        core = _contract("vrd,rABpb,uxpc->uvABxbdc", [(1, 2), (0, 1)],
+                         sigma_t, fixed, dwb)
         # axes: A=merged copy, B=receiver, x=distilled, b=receiver in,
         #       d=shared teleport factor, c=distillation factor
         out = np.zeros((n_out, n2j, da, db, lj, rj, junk, db, dj, kj, rj),
@@ -529,8 +578,8 @@ def _block_b_terms(blk, s, setting, k_total, l_total, da, db, junk):
         return out.reshape(n_out, n2j, d_rows, db * k_total)
 
     dwb = np.reshape(s["b_mats"], (n_out, dj, bl, k_total))
-    core = np.einsum("vrx,rABpb,uxpc->uvABbc", sigma_t, fixed, dwb,
-                     optimize=["einsum_path", (0, 2), (0, 1)])
+    core = _contract("vrx,rABpb,uxpc->uvABbc", [(0, 2), (0, 1)],
+                     sigma_t, fixed, dwb)
     out = np.zeros((n_out, n2j, da, db, 1, junk, db, k_total), dtype=complex)
     out[:, :, :, :, 0, 0] = core
     return out.reshape(n_out, n2j, d_rows, db * k_total)
@@ -540,7 +589,7 @@ def verify_merge_protocol(psi: Ket, proto: MergeProtocol, tol: float = 1e-8):
     """Exhaustively simulate the protocol; returns (ok, worst_infidelity,
     branch_count)."""
     branches = simulate(proto.locc(), proto.input_state(psi))
-    fid = branch_fidelities([b.state.amps for b in branches],
+    fid = branch_fidelities([b.state for b in branches],
                             proto.target_state(psi).amps)
     worst = float(np.max(np.maximum(1.0 - fid, 0.0)))   # NaN stays NaN
     return worst <= tol, worst, len(branches)
@@ -564,7 +613,7 @@ def approx_merge_candidate(psi: Ket, psi_tilde: Ket, eps: float,
         proto = merge_protocol(psi_tilde, "catalytic", ki=ki, delta=delta)
         branches = simulate(proto.locc(), proto.input_state(psi))
         fid = np.dot([b.prob for b in branches], branch_fidelities(
-            [b.state.amps for b in branches],
+            [b.state for b in branches],
             proto.target_state(psi_tilde).amps))
         out["achieved_fidelity"] = float(fid)
         out["meets_bound"] = bool(fid >= 1.0 - eps ** 2 - 1e-9)

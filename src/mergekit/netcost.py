@@ -195,7 +195,7 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
     maximally entangled between the reference and the root's holdings at
     the logical rank.
     """
-    from .locc import PRUNE_TOL, Round, _op_views, _simulate_round
+    from .locc import PRUNE_TOL, Round, _op_views, _simulate_round, _stack_of
     from .mergesplit import merge_protocol
 
     if len(iso.dims) != tree.n:
@@ -216,8 +216,7 @@ def concentrating_simulate(tree: RootedTree, iso: IsometrySpec,
                                    "non-catalytic", sender_only=True)
             k_res = proto.resource_rank
             a_ops = proto.one_way.a_ops     # returned rank is one
-            a = np.stack([op.mat for op in a_ops]).reshape(
-                len(a_ops), tri.shape[2], k_res)
+            a = _stack_of(a_ops).reshape(len(a_ops), tri.shape[2], k_res)
             # A_m reads party k's registers and one half of |Phi_K>; with
             # the pair folded in, F_m[y, a] = A_m[a, y] / sqrt(K) leaves
             # the other half y as the new register

@@ -49,6 +49,7 @@ class Ket:
     amps: np.ndarray
     dims: tuple
     normalized: bool = True
+    _stack = None       # set on the row views of ``locc._ket_views``
 
     def __init__(self, amps, dims, normalized=True):
         amps = _as_complex(amps).reshape(-1)
@@ -82,7 +83,8 @@ class Ket:
         return DensityOp(np.outer(self.amps, self.amps.conj()), self.dims)
 
     def kron(self, other: "Ket") -> "Ket":
-        return Ket(np.kron(self.amps, other.amps), self.dims + other.dims,
+        return Ket(np.multiply.outer(self.amps, other.amps).reshape(-1),
+                   self.dims + other.dims,
                    normalized=self.normalized and other.normalized)
 
     def permute(self, order) -> "Ket":

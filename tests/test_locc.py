@@ -616,13 +616,13 @@ def test_simulate_returns_branch_states_as_row_views(monkeypatch):
         one_way_to_locc(teleport_protocol(3), (0, 1), (2,)), tele_inp)
     assert not calls
     # the branches of one layout view consecutive rows of one frozen stack,
-    # which stacks back without a copy
+    # as they record, and stack back without a copy
     from mergekit.locc import _stack_of
 
     base = teleported[0].state.amps.base
-    assert not base.flags.writeable
-    rows = _stack_of([b.state.amps for b in teleported])
+    rows = _stack_of([b.state for b in teleported], "amps")
     assert rows.base is base and rows.shape == (len(teleported), 3)
+    assert not rows.flags.writeable
     assert all(np.array_equal(r, b.state.amps)
                for r, b in zip(rows, teleported))
 
@@ -635,7 +635,7 @@ def test_branch_fidelities_read_a_large_family_of_row_views_in_place():
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(128, 1024)) + 1j * rng.normal(size=(128, 1024))
     want = branch_fidelities(stack.copy(), stack[3])
-    rows = [k.amps for k in _ket_views(stack, (1024,))]   # 2 MiB of rows
+    rows = _ket_views(stack, (1024,))   # 2 MiB of rows
     tracemalloc.start()
     try:
         got = branch_fidelities(rows, stack[3])
@@ -665,3 +665,94 @@ def test_completeness_audit_reuses_a_stack_only_its_own_views_form():
     # four views of the stack, one repeated and one missing, are incomplete
     with pytest.raises(CompletenessError):
         _check_complete([ops[0], ops[0], ops[2], ops[3]], "repeated")
+
+
+def _corrupted(ops, row, scale):
+    """The family ``ops`` rebuilt as views of one stack, one row scaled."""
+    from mergekit.locc import _op_views
+
+    stack = np.array([op.mat for op in ops])
+    stack[row] *= scale
+    return _op_views(stack, ops[0].in_dims, ops[0].out_dims)
+
+
+def _replaced(ops, row, scale):
+    """The family ``ops`` with one operator replaced by a scaled copy."""
+    op = ops[row]
+    return (ops[:row] + [ProtocolOp(scale * op.mat, op.in_dims, op.out_dims)]
+            + ops[row + 1:])
+
+
+def test_families_audited_as_stacks_fail_as_operator_lists_do():
+    from mergekit.mergesplit import merge_protocol
+
+    psi = states.generate_example("ki-example")
+    proto = merge_protocol(psi, "catalytic")
+    a, b = proto.one_way.a_ops, proto.one_way.b_ops
+    # 16 synthesized sender rows and 2 completion operators, all rows of
+    # one stack; each receiver is a single-operator instrument
+    assert len(a) == 18 and [op._row for op in a] == list(range(18))
+    assert all(op._stack is a[0]._stack for op in a)
+    sender = "round for A given () completeness deviates by "
+    receiver = "round for B given (2,) completeness deviates by "
+    cases = [
+        (_corrupted(a, 1, 1.25), b, sender + "7.031e-02"),
+        (_replaced(a, 1, 1.25), b, sender + "7.031e-02"),
+        (_corrupted(a, 16, 1.25), b, sender + "5.625e-01"),   # completion
+        (_replaced(a, 16, 1.25), b, sender + "5.625e-01"),
+        (a, _corrupted(b, 2, 1.25), receiver + "5.625e-01"),
+        (a, _replaced(b, 2, 1.25), receiver + "5.625e-01"),
+        # two failing receivers: the first in branch order is named
+        (a, _corrupted(_corrupted(b, 5, 1.25), 2, 0.5),
+         receiver + "7.500e-01"),
+        (a, _replaced(_replaced(b, 5, 1.25), 2, 0.5), receiver + "7.500e-01"),
+    ]
+    for a_ops, b_ops, message in cases:
+        locc = one_way_to_locc(OneWayProtocol(a_ops, b_ops), (1, 3), (2, 4))
+        for run in (lambda: simulate(locc, proto.input_state(psi)),
+                    lambda: audit_protocol(locc)):
+            with pytest.raises(CompletenessError) as err:
+                run()
+            assert str(err.value) == message
+
+
+def _loop_uniform_distill(source, target_rank, cut):
+    """Oracle: ``uniform_distill`` with one product per outcome."""
+    from mergekit.locc import _projector_with_diagonal
+
+    form = schmidt_decompose(source, cut)
+    lam, n, L = form.coeffs ** 2, form.rank, target_rank
+    ua = np.array([b.amps.conj() for b in form.left_basis])
+    ub = np.array([b.amps.conj() for b in form.right_basis])
+    c0 = _projector_with_diagonal(L * lam, L).conj().T[:L, :]
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    omega = np.exp(2j * np.pi / n)
+    a_mats, b_mats = [], []
+    for t in range(n):
+        d_t = omega ** (t * np.arange(n))
+        m_coord = (c0 * d_t[None, :]) * inv_sqrt[None, :] / np.sqrt(n * L)
+        a_mats.append(m_coord @ ua)
+        b_mats.append((c0 * d_t[None, :]).conj() @ ub)
+    return np.array(a_mats), np.array(b_mats), n
+
+
+def test_uniform_distill_matches_the_per_outcome_loop_bit_for_bit():
+    from mergekit.locc import uniform_distill
+
+    rng = np.random.default_rng(2313)
+    for dims, cut, p, rank in (
+            ((3, 3), Bipartition([0], nsys=2), [0.4, 0.35, 0.25], 2),
+            ((4, 2, 4), Bipartition([0, 1], nsys=3), [0.3, 0.3, 0.25, 0.15],
+             3),
+            ((2, 5), Bipartition([0], nsys=2), [0.5, 0.5], 2)):
+        # a source with Schmidt spectrum p in random local bases
+        da = int(np.prod([dims[k] for k in cut.left]))
+        db = int(np.prod(dims)) // da
+        m = (random_unitary(da, rng)[:, :len(p)] * np.sqrt(p)
+             @ random_unitary(db, rng)[:len(p)])
+        source = Ket(m.reshape(-1), dims)
+        got = uniform_distill(source, rank, cut)
+        want = _loop_uniform_distill(source, rank, cut)
+        assert got[2] == want[2]
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()

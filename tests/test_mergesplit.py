@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -764,3 +766,113 @@ def test_merge_protocol_holds_its_receiver_family_once():
     # the family tiled per block would take the peak to twice the result
     assert held > 12 * 10 ** 6
     assert peak < 1.5 * held, (peak, held)
+
+
+def _loop_prefix_sums(ev, r_max, n):
+    """Oracle: one cumsum per repetition count r, padded with its total."""
+    desc = np.sort(ev)[::-1]
+    out = np.empty((r_max, n))
+    for r in range(1, r_max + 1):
+        c = np.cumsum(np.repeat(desc * (1.0 / r), r))
+        out[r - 1, :c.size] = c
+        out[r - 1, c.size:] = c[-1]
+    return out
+
+
+def test_padded_prefix_sums_match_the_loop_oracle_bit_for_bit():
+    from mergekit.mergesplit import _padded_prefix_sums
+
+    rng = np.random.default_rng(2311)
+    for d in (2, 3, 4):
+        spectra = [rng.random(d) for _ in range(8)]
+        tied = rng.random(d)
+        tied[1:] = tied[0]
+        zero = rng.random(d)
+        zero[rng.integers(d)] = 0.0
+        spectra += [tied, zero, np.eye(d)[0]]
+        for ev in spectra:
+            ev = ev / ev.sum()
+            # the converse search's caps: K up to d^3, L up to d^2, with
+            # the receiver spectrum d long and the joint one d^2 long
+            for size, r_max in ((ev, d ** 3), (np.repeat(ev, d) / d, d ** 2)):
+                n = max(d ** 3 * d, d ** 2 * d * d)
+                want = _loop_prefix_sums(size, r_max, n)
+                got = _padded_prefix_sums(size, r_max, n)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_merge_synthesis_and_verification_plan_no_einsum_path(monkeypatch):
+    # each per-block contraction follows its fixed path as numpy's einsum
+    # would, without a per-call path search; np.einsum looks einsum_path
+    # up in the module that defines it
+    import importlib
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an einsum path was planned")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    monkeypatch.setattr(importlib.import_module(
+        np.einsum._implementation.__module__), "einsum_path", refuse)
+    with pytest.raises(AssertionError, match="planned"):
+        np.einsum("ij,jk,kl->il", np.eye(2), np.eye(2), np.eye(2),
+                  optimize=["einsum_path", (0, 1), (0, 1)])
+    rng = np.random.default_rng(2312)
+    for psi in (states.generate_example("ki-example"),
+                random_ket((2, 3, 4), rng), random_ket((4, 3, 2), rng)):
+        ki = ki_decompose_tripartite(psi)
+        for setting in ("catalytic", "non-catalytic"):
+            merge_protocol(psi, setting, ki=ki, sender_only=True)
+            proto = merge_protocol(psi, setting, ki=ki)
+            assert verify_merge_protocol(psi, proto)[0]
+
+
+def test_cost_reports_are_kept_once_per_decomposition(monkeypatch):
+    import mergekit.mergesplit as ms
+
+    psi = states.generate_example("ki-example")
+    ki = ki_decompose_tripartite(psi)
+    calls = []
+    real = ms._block_costs
+    monkeypatch.setattr(ms, "_block_costs",
+                        lambda k: calls.append(k) or real(k))
+    cat = merge_cost_catalytic(ki)
+    nc = merge_cost_noncatalytic(ki)
+    for setting in ("catalytic", "non-catalytic"):
+        assert merge_protocol(psi, setting, ki=ki).report is (
+            cat if setting == "catalytic" else nc)
+    assert merge_cost_noncatalytic(ki) is nc and len(calls) == 1
+    assert isinstance(nc.per_block, tuple) and nc.per_block is cat.per_block
+    # another delta is another report; a fresh decomposition starts empty
+    assert merge_cost_catalytic(ki, delta=1e-2) is not cat
+    assert len(calls) == 2
+    fresh = ki_decompose_tripartite(psi)
+    assert not fresh._reports and merge_cost_catalytic(fresh) == cat
+    # the kept reports take no part in comparison or repr
+    field, = [f for f in dataclasses.fields(ki) if f.name == "_reports"]
+    assert not field.compare and not field.repr and not field.init
+
+
+def test_planned_contractions_match_numpy_einsum_bit_for_bit():
+    # the per-block contractions on shapes with and without size-1 indices,
+    # which numpy sums out of an operand or multiplies elementwise
+    from mergekit.mergesplit import _BRAS_FIRST, _contract
+
+    rng = np.random.default_rng(2314)
+    specs = [("uxlc,vrd,lra->uvxadc", _BRAS_FIRST),
+             ("uxlk,vrx,lra->uvak", _BRAS_FIRST),
+             ("lP,lrA,BPq,pqb->rABpb", [(2, 3), (0, 1), (0, 1)]),
+             ("vrd,rABpb,uxpc->uvABxbdc", [(1, 2), (0, 1)]),
+             ("vrx,rABpb,uxpc->uvABbc", [(0, 2), (0, 1)])]
+    for spec, path in specs:
+        letters = sorted(set(spec) - set(",->"))
+        for trial in range(12):
+            size = dict(zip(letters, rng.integers(1, 4, len(letters))))
+            ops = [(rng.normal(size=[size[k] for k in t])
+                    + 1j * rng.normal(size=[size[k] for k in t])).conj()
+                   for t in spec.split("->")[0].split(",")]
+            want = np.einsum(spec, *ops, optimize=["einsum_path", *path])
+            got = _contract(spec, path, *ops)
+            assert got.shape == want.shape
+            assert (np.ascontiguousarray(got).tobytes()
+                    == np.ascontiguousarray(want).tobytes()), (spec, size)

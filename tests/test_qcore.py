@@ -486,3 +486,12 @@ def test_hmax_degenerate_cases_close_at_once(psi, cut_a, cut_b, expected):
     assert res["steps"] <= 2
     assert abs(res["gap"]) <= 1e-12
     assert abs(res["value"] - expected) <= 1e-12
+
+
+def test_ket_kron_is_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(2315)
+    a, b = random_ket((2, 3), rng), random_ket((4,), rng)
+    k = a.kron(b)
+    assert k.dims == (2, 3, 4)
+    assert k.amps.tobytes() == Ket(np.kron(a.amps, b.amps),
+                                   (2, 3, 4)).amps.tobytes()
