@@ -24,7 +24,7 @@ EIG_TOL = 1e-9        # eigenvalues in (-tol, tol] go to the non-positive side
 SUPP_TOL = 1e-9       # relative support threshold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KIBlock:
     """One block: orthonormal grid of shape (dim_left, dim_right, dim_a)."""
 
@@ -352,7 +352,7 @@ def ki_partition(psi_ra: np.ndarray, dims) -> KIPartition:
     raise MaximalityError("refinement iteration cap exceeded", partition)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KITripartiteBlock:
     """One block of the tripartite decomposition."""
 

@@ -107,7 +107,7 @@ def mixed_convertible_witness(phi: Ket, ensemble, cut: Bipartition,
     return majorizes(spectrum(fa, n), avg, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolOp:
     """One operator of an instrument, mapping in_dims to out_dims."""
 

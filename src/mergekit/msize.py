@@ -44,27 +44,7 @@ def default_circuit() -> CircuitSpec:
                            (4, 8)])
 
 
-def circuit_state(circ: CircuitSpec, alphas) -> Ket:
-    """Output of the circuit for the given gate angles (radians)."""
-    alphas = list(alphas)
-    if len(alphas) != circ.n_gates:
-        raise ValueError(
-            f"need {circ.n_gates} angles, got {len(alphas)}")
-    n = circ.n_qubits
-    amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    for (i, j), alpha in zip(circ.gates, alphas):
-        amps = _apply_zz_phase(amps, n, i - 1, j - 1, alpha)
-    return Ket(amps, (2,) * n)
-
-
-def _apply_zz_phase(amps, n, qi, qj, alpha):
-    idx = np.arange(2 ** n)
-    zi = 1 - 2 * ((idx >> (n - 1 - qi)) & 1)
-    zj = 1 - 2 * ((idx >> (n - 1 - qj)) & 1)
-    return amps * np.exp(1j * alpha * zi * zj)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphState:
     """Simple graph with target/auxiliary vertex roles."""
 
@@ -146,30 +126,114 @@ def _mbqc_branches(circ: CircuitSpec, alphas):
         2^{-n/2} prod_k f_k[o_k, s_k(x)],
         f_k[o, s] = (R_k[o, 0] + R_k[o, 1] (-1)^s) (-1)^{o s},
 
-    one 2x2 table per gate.  The (targets, outcomes) branch matrix is their
-    outer product over the outcome bits.  The premise is checked on the
-    resource graph's adjacency."""
-    graph = resource_graph_state(circ)
-    target = circuit_state(circ, alphas)
+    one 2x2 table per gate.  A branch's probability is therefore the
+    ``_parity_sum`` of the per-gate tables ``|f_k|^2 / 2``, and its overlap
+    with the circuit output ``2^{-n_t/2} prod_k e^{i alpha_k (-1)^{s_k(x)}}``
+    that of ``e^{-i alpha_k (-1)^s} f_k / sqrt 2``; neither the circuit
+    output nor the (targets, outcomes) branch matrix is built.  The premise
+    is checked on the resource graph's adjacency."""
+    adj = resource_graph_state(circ).adjacency
     n_t, n_a = circ.n_qubits, circ.n_gates
-    if graph.adjacency[:n_t, :n_t].any() or any(
-            set(graph.neighbors(n_t + k)) != {i - 1, j - 1}
-            for k, (i, j) in enumerate(circ.gates)):
+    wiring = np.zeros((n_a, n_t + n_a), dtype=bool)
+    wiring[np.arange(n_a)[:, None],
+           np.array(circ.gates, dtype=int).reshape(n_a, 2) - 1] = True
+    if adj[:n_t, :n_t].any() or not np.array_equal(adj[n_t:], wiring):
         raise RuntimeError("resource graph is not one auxiliary per gate "
                            "wired to the gate's two targets")
-    x = np.arange(2 ** n_t)
+    alphas = np.asarray(alphas, dtype=float)
     signs = np.array([[1.0, 1.0], [1.0, -1.0]])     # (-1)^{a b}
-    branches = np.full((2 ** n_t, 1), 2.0 ** (-(n_t + n_a) / 2), dtype=complex)
-    for (i, j), alpha in zip(circ.gates, alphas):
-        rot = np.array([[np.cos(alpha), 1j * np.sin(alpha)],
-                        [1j * np.sin(alpha), np.cos(alpha)]])
-        f = (rot @ signs) * signs
-        s = ((x >> (n_t - i)) ^ (x >> (n_t - j))) & 1
-        branches = (branches[:, :, None] * f.T[s][:, None, :]).reshape(
-            2 ** n_t, -1)
-    probs = np.einsum("ij,ij->j", branches.conj(), branches).real
-    overlaps = target.amps.conj() @ branches
+    cos, sin = np.cos(alphas), 1j * np.sin(alphas)
+    rot = np.array([[cos, sin], [sin, cos]]).transpose(2, 0, 1)
+    f = (rot @ signs) * signs
+    probs, overlaps = _parity_sum(circ, np.stack([
+        np.abs(f) ** 2 / 2,
+        np.exp(-1j * alphas[:, None, None] * signs[1]) * f / np.sqrt(2)]))
+    probs = probs.real
     return probs, 1.0 - np.abs(overlaps) ** 2 / np.maximum(probs, 1e-300)
+
+
+def _parity_sum(circ: CircuitSpec, g):
+    """``2^{-n_t} sum_x prod_k g[:, k, o_k, s_k(x)]`` for every outcome
+    string ``o`` (bit ``k`` of gate ``k``, gate 0 the most significant),
+    with ``s_k(x) = x_i XOR x_j`` for gate ``k`` on targets ``(i, j)``, for
+    a batch of per-gate 2x2 tables ``g`` of shape (batch, gates, 2, 2).
+
+    Writing ``g_k[o, s] = a_k[o] + (-1)^s b_k[o]`` and summing over ``x``
+    first (GF(2) Fourier duality) leaves
+
+        sum_x prod_k g_k
+            = 2^{n_t} sum_S prod_{k in S} b_k prod_{k not in S} a_k
+
+    over the gate sets ``S`` in which every target has even degree.  Gates
+    on one target pair share ``s``, so their tables are multiplied into one
+    per-pair table first; ``S`` then runs over the even subgraphs of the
+    pair graph (``_parity_plan``), a single empty one for a forest.  A pair
+    graph with more even subgraphs than cuts is summed over ``x`` instead,
+    one term per cut ``s(x)``, each cut the image of 2^components strings
+    ``x``."""
+    groups, even, cuts, index = _parity_plan(circ)
+    tables = [np.empty((len(g), 0, 2))]     # a circuit may have no gates
+    for grp in groups:
+        pair = g[:, grp[0]]
+        for k in grp[1:]:
+            pair = (pair[:, :, None] * g[:, k, None]).reshape(len(g), -1, 2)
+        tables.append(pair)
+    pair = np.concatenate(tables, axis=1)
+    g0, g1 = pair[..., 0], pair[..., 1]
+    if len(cuts) < len(even):   # every pair's s = 0 entries, then s = 1
+        flat, sets, scale = np.concatenate([g0, g1], axis=1), cuts, len(cuts)
+    else:                       # every pair's a, then every pair's b
+        flat = np.concatenate([g0 + g1, g0 - g1], axis=1) / 2
+        sets, scale = even, 1
+    p = np.arange(len(groups))[:, None]
+    return sum(np.take(flat, index + pair.shape[1] * (s >> p & 1),
+                       axis=1).prod(axis=1) for s in sets) / scale
+
+
+@functools.lru_cache(maxsize=16)
+def _parity_plan(circ: CircuitSpec):
+    """The plan of ``_parity_sum``: the gates grouped by target pair, in
+    order of first appearance; every set of pairs in which each target has
+    even degree, and every cut (the pairs ``s(x)`` separates), as bitmasks
+    over the groups; and, per group and outcome, the row of the
+    concatenated per-pair tables that the outcome's bits on the group's
+    gates select.
+
+    Each pair that closes a cycle in the spanning forest grown so far adds
+    its fundamental cycle to a GF(2) basis (``path[v]`` is a pair set whose
+    odd-degree targets are ``v`` and its tree's root), so there are
+    2^(pairs - n_t + components) even sets.  The cuts are spanned by the
+    pairs at each target other than the roots, 2^(n_t - components)."""
+    groups = {}
+    for k, (i, j) in enumerate(circ.gates):
+        groups.setdefault((min(i, j) - 1, max(i, j) - 1), []).append(k)
+    n = circ.n_qubits
+    comp, path, even = list(range(n)), [0] * n, [0]
+    for e, (u, v) in enumerate(groups):
+        loop = path[u] ^ path[v] ^ (1 << e)
+        if comp[u] == comp[v]:
+            even += [s ^ loop for s in even]
+        else:
+            old = comp[v]
+            for w in range(n):
+                if comp[w] == old:
+                    comp[w], path[w] = comp[u], path[w] ^ loop
+    cuts = [0]
+    for w in range(n):
+        if comp[w] != w:
+            star = sum(1 << e for e, pair in enumerate(groups) if w in pair)
+            cuts += [s ^ star for s in cuts]
+    n_a = circ.n_gates
+    outcomes = np.arange(2 ** n_a)
+    index = np.zeros((len(groups), 2 ** n_a), dtype=int)
+    at = 0
+    for p, grp in enumerate(groups.values()):
+        for k in grp:
+            index[p] = 2 * index[p] + (outcomes >> (n_a - 1 - k) & 1)
+        index[p] += at
+        at += 2 ** len(grp)
+    index.flags.writeable = False
+    return tuple(map(tuple, groups.values())), tuple(even), tuple(cuts), index
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ket:
     """Pure state vector with subsystem dimensions."""
 
@@ -100,7 +100,7 @@ class Ket:
         return complex(np.vdot(self.amps, other.amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOp:
     """Density operator with subsystem dimensions."""
 
@@ -154,7 +154,7 @@ class Bipartition:
         object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Schmidt decomposition across a bipartition."""
 

@@ -18,7 +18,6 @@ from mergekit.msize import (
     DynamicSimulator,
     ScheduleError,
     bipartite_bound_check,
-    circuit_state,
     crossing_cut_rank,
     default_circuit,
     dynamic_simulate,
@@ -31,7 +30,8 @@ from mergekit.msize import (
     verify_dynamic_rank_limit,
     verify_resource_preparation,
 )
-from mergekit.msize import _gmul, _mbqc_branches, _run_on_graph
+from mergekit.msize import (_gmul, _mbqc_branches, _parity_plan, _parity_sum,
+                            _run_on_graph)
 from mergekit.qcore import (Bipartition, Ket, StateError, schmidt_decompose,
                             schmidt_rank)
 
@@ -741,6 +741,51 @@ def test_scaled_states_at_odd_quarter_multiples():
         scaled_quarter_turn_state(c, 2)
 
 
+# The circuit output on 2^n amplitudes and the branch matrix built from it,
+# as first written in msize, kept as the oracles of the MBQC check.
+
+
+def circuit_state(circ: CircuitSpec, alphas) -> Ket:
+    """Output of the circuit for the given gate angles (radians)."""
+    alphas = list(alphas)
+    if len(alphas) != circ.n_gates:
+        raise ValueError(
+            f"need {circ.n_gates} angles, got {len(alphas)}")
+    n = circ.n_qubits
+    amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+    for (i, j), alpha in zip(circ.gates, alphas):
+        amps = _apply_zz_phase(amps, n, i - 1, j - 1, alpha)
+    return Ket(amps, (2,) * n)
+
+
+def _apply_zz_phase(amps, n, qi, qj, alpha):
+    idx = np.arange(2 ** n)
+    zi = 1 - 2 * ((idx >> (n - 1 - qi)) & 1)
+    zj = 1 - 2 * ((idx >> (n - 1 - qj)) & 1)
+    return amps * np.exp(1j * alpha * zi * zj)
+
+
+def _matrix_mbqc_branches(circ, alphas):
+    """The (targets, outcomes) branch matrix as the outer product of the
+    per-gate tables ``f_k`` over the outcome bits, read against the
+    2^n_t-amplitude circuit output: the fast oracle."""
+    target = circuit_state(circ, alphas)
+    n_t, n_a = circ.n_qubits, circ.n_gates
+    x = np.arange(2 ** n_t)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0]])     # (-1)^{a b}
+    branches = np.full((2 ** n_t, 1), 2.0 ** (-(n_t + n_a) / 2), dtype=complex)
+    for (i, j), alpha in zip(circ.gates, alphas):
+        rot = np.array([[np.cos(alpha), 1j * np.sin(alpha)],
+                        [1j * np.sin(alpha), np.cos(alpha)]])
+        f = (rot @ signs) * signs
+        s = ((x >> (n_t - i)) ^ (x >> (n_t - j))) & 1
+        branches = (branches[:, :, None] * f.T[s][:, None, :]).reshape(
+            2 ** n_t, -1)
+    probs = np.einsum("ij,ij->j", branches.conj(), branches).real
+    overlaps = target.amps.conj() @ branches
+    return probs, 1.0 - np.abs(overlaps) ** 2 / np.maximum(probs, 1e-300)
+
+
 def _reference_mbqc_branches(circ, alphas):
     """The per-branch preparation as first written: for each outcome string,
     rotate, measure and correct the auxiliaries one by one."""
@@ -823,14 +868,22 @@ def test_mbqc_branches_reject_a_non_factoring_graph(monkeypatch):
 
 
 def test_mbqc_branches_match_per_branch_reference():
-    # the factored branches against the per-branch preparation and the
-    # rotated graph-state tensor, repeated gate pairs and no gates included
+    # the even-subgraph sums against the per-branch preparation and the
+    # rotated graph-state tensor: repeated and reversed gate pairs, cycles
+    # (one and two independent ones), a disconnected circuit with an
+    # isolated target, and no gates
     cases = [(CircuitSpec(2, [(1, 2)]), [0.7]),
              (CircuitSpec(4, [(1, 3), (2, 4), (3, 2)]), [0.4, 1.9, 2.6])]
     for n, circ in enumerate([default_circuit(), CircuitSpec(2, [(1, 2)]),
                               CircuitSpec(4, [(1, 3), (2, 4), (3, 2)]),
                               CircuitSpec(3, [(1, 2), (1, 2), (2, 3)]),
-                              CircuitSpec(3, [])]):
+                              CircuitSpec(3, []),
+                              CircuitSpec(4, [(1, 2), (2, 3), (3, 1), (3, 4)]),
+                              CircuitSpec(4, [(1, 2), (2, 3), (3, 4), (4, 1),
+                                              (1, 3)]),
+                              CircuitSpec(6, [(1, 2), (4, 5), (5, 6), (6, 4)]),
+                              CircuitSpec(3, [(2, 1), (1, 2), (2, 3),
+                                              (3, 1)])]):
         cases.append((circ, [np.pi / 4] * circ.n_gates))
         for seed in (61, 62):
             cases.append((circ, np.random.default_rng([seed, n]).uniform(
@@ -846,6 +899,131 @@ def test_mbqc_branches_match_per_branch_reference():
         assert rep["pass"]
         assert rep["worst_branch"] is None     # every branch is exact
         assert abs(rep["total_probability"] - ref_probs.sum()) < 1e-12
+
+
+def _random_gates(rng, n, m):
+    """``m`` gates on ``n`` targets, repeats and either endpoint order
+    allowed."""
+    return [tuple(int(v) + 1 for v in rng.choice(n, 2, replace=False))
+            for _ in range(m if n > 1 else 0)]
+
+
+def test_even_pair_sets_of_random_multigraphs():
+    # repeated gates, reversed endpoints and isolated targets: the pair
+    # sets are distinct, even at every target, and there are
+    # 2^(pairs - n_t + components) of them; the cuts are the distinct
+    # sets of pairs that some target string separates
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(2404)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        gates = _random_gates(rng, n, int(rng.integers(0, 13)))
+        groups, even, cuts, _ = _parity_plan(CircuitSpec(n, gates))
+        assert sorted(k for grp in groups for k in grp) == list(
+            range(len(gates)))
+        pairs = [sorted(gates[grp[0]]) for grp in groups]
+        assert all(sorted(gates[k]) == pair
+                   for grp, pair in zip(groups, pairs) for k in grp)
+        assert len({tuple(p) for p in pairs}) == len(pairs)
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in pairs:
+            adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
+        components = connected_components(adj, directed=False)[0]
+        assert len(even) == len(set(even)) == 2 ** (
+            len(pairs) - n + components)
+        for s in even:
+            assert 0 <= s < 2 ** len(pairs)
+            degree = np.zeros(n, dtype=int)
+            for e, (i, j) in enumerate(pairs):
+                if s >> e & 1:
+                    degree[[i - 1, j - 1]] += 1
+            assert not (degree % 2).any()
+        separated = {sum(1 << e for e, (i, j) in enumerate(pairs)
+                         if (x >> (i - 1) ^ x >> (j - 1)) & 1)
+                     for x in range(2 ** n)}
+        assert len(cuts) == len(separated) == 2 ** (n - components)
+        assert set(cuts) == separated
+
+
+def _dense_parity_sum(circ, g):
+    """``_parity_sum`` written out over the target strings: the (batch,
+    targets, outcomes) products of the tables, built gate by gate as the
+    branch matrix is, then summed over the targets."""
+    n_t = circ.n_qubits
+    x = np.arange(2 ** n_t)
+    terms = np.ones((len(g), 2 ** n_t, 1), dtype=complex)
+    for k, (i, j) in enumerate(circ.gates):
+        s = ((x >> (n_t - i)) ^ (x >> (n_t - j))) & 1
+        terms = (terms[..., None] * g[:, k][:, :, s].transpose(0, 2, 1)[
+            :, :, None]).reshape(len(g), 2 ** n_t, -1)
+    return terms.sum(axis=1) / 2 ** n_t
+
+
+def test_parity_sum_matches_the_dense_sum_on_random_tables():
+    # the MBQC tables have b_k = 0 up to rounding (every branch is exact),
+    # so only general tables exercise the even pair sets and the per-pair
+    # products: random complex ones on random multigraphs
+    rng = np.random.default_rng(2406)
+    dense = [CircuitSpec(5, itertools.combinations(range(1, 6), 2)),
+             CircuitSpec(5, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 2), (2, 4),
+                             (5, 2), (3, 4), (3, 5), (4, 5)])]
+    for circ in dense:      # more even pair sets than cuts: summed over x
+        _, even, cuts, _ = _parity_plan(circ)
+        assert len(cuts) < len(even)
+    for t in range(100):
+        n = int(rng.integers(1, 7))
+        circ = dense[t] if t < len(dense) else CircuitSpec(
+            n, _random_gates(rng, n, int(rng.integers(0, 9))))
+        g = rng.normal(size=(3, circ.n_gates, 2, 2, 2)) @ [1, 1j]
+        got, want = _parity_sum(circ, g), _dense_parity_sum(circ, g)
+        assert got.shape == want.shape == (3, 2 ** circ.n_gates)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_parity_sum_has_one_term_per_even_set_or_cut(monkeypatch):
+    # the shorter of the two sums: 2^(pairs - n_t + components) even pair
+    # sets or 2^(n_t - components) cuts, one table read per term
+    reads, take = [], np.take
+
+    def counting_take(*args, **kwargs):
+        reads.append(args[1].shape)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting_take)
+    for circ, terms in [(default_circuit(), 1), (CircuitSpec(3, []), 1),
+                        (CircuitSpec(4, [(1, 2), (2, 3), (3, 1), (3, 4)]), 2),
+                        (CircuitSpec(5, itertools.combinations(range(1, 6),
+                                                               2)), 16)]:
+        reads.clear()
+        _parity_sum(circ, np.ones((1, circ.n_gates, 2, 2)))
+        assert len(reads) == terms
+
+
+def test_mbqc_branches_match_the_branch_matrix_oracle():
+    # about 200 random circuits of up to 6 targets and 10 gates
+    rng = np.random.default_rng(2405)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        circ = CircuitSpec(n, _random_gates(rng, n, int(rng.integers(0, 11))))
+        alphas = list(rng.uniform(-2 * np.pi, 2 * np.pi, circ.n_gates))
+        probs, infid = _mbqc_branches(circ, alphas)
+        ref_probs, ref_infid = _matrix_mbqc_branches(circ, alphas)
+        assert np.max(np.abs(probs - ref_probs)) < 1e-12
+        assert np.max(np.abs(infid - ref_infid)) < 1e-12
+
+
+def test_mbqc_prepare_allocates_no_branch_matrix():
+    # the default circuit's 256 x 128 complex branch matrix alone is 512 KB
+    circ, alphas = default_circuit(), [0.3] * 7
+    mbqc_prepare(circ, alphas)      # fills the per-circuit caches
+    tracemalloc.start()
+    try:
+        mbqc_prepare(circ, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 def _mbqc_protocol(circ, alphas):

@@ -495,3 +495,36 @@ def test_ket_kron_is_numpy_kron_bit_for_bit():
     assert k.dims == (2, 3, 4)
     assert k.amps.tobytes() == Ket(np.kron(a.amps, b.amps),
                                    (2, 3, 4)).amps.tobytes()
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # equality of two distinct instances used to compare their arrays and
+    # raise; now it answers with a bool, identity, and instances hash
+    from mergekit import kidecomp, locc, msize
+
+    def build():
+        psi = states.generate_example("ki-example")
+        ki = kidecomp.ki_decompose_tripartite(psi)
+        return ki, [
+            Ket([1, 0, 0, 0], (2, 2)),
+            DensityOp(np.eye(2) / 2, (2,)),
+            schmidt_decompose(psi, Bipartition([0], [1, 2])),
+            locc.ProtocolOp(np.eye(2), (2,), (2,)),
+            ki.partition_a.blocks[0],
+            ki.blocks[0],
+            msize.GraphState(np.zeros((2, 2), dtype=bool),
+                             ("target", "target")),
+        ]
+
+    (ki, objs), (ki_twin, twins) = build(), build()
+    assert len(objs) == 7
+    for a, b in zip(objs, twins):
+        assert type(a) is type(b)
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+    # containers compare field by field without raising
+    assert (ki == ki) is True and (ki == ki_twin) is False
+    ket = objs[0]
+    assert locc.SimBranch((0,), 1.0, ket) == locc.SimBranch((0,), 1.0, ket)
+    assert locc.SimBranch((0,), 1.0, ket) != locc.SimBranch((0,), 1.0,
+                                                            twins[0])

@@ -1,5 +1,6 @@
 """sha256 digests of every synthesized operator, simulated branch and cost
-report, for checking that two trees compute bit-identical results.
+report, and of the exact-search msize results, for checking that two trees
+compute bit-identical results.
 
     python tools/identity_digests.py TREE OUT.json [--quick]
 
@@ -8,8 +9,12 @@ Run it on the parent and on the change, each from its own checkout, and
 compare the two JSON files: each category maps to [items, sha256], taken in
 order over shapes or dims and bytes.  The inputs are merge-batch cycles 0-3
 of seeds 1903 and 9655 (``--quick``: cycle 0), the examples ex2, ex3, ex4,
-ki-example and ghz:3:3, the two-way separation instance, and criterion 09's
-100 network instances (skipped by ``--quick``).
+ki-example and ghz:3:3, the two-way separation instance, criterion 09's
+100 network instances (skipped by ``--quick``), and, in the ``msize``
+category, exact-search's 1200 pool schedules under the limited
+configuration (every executed step with its matrix bytes, the audit, the
+slots, ``rank_to_party``, the diagnostics and the final state), the layout
+scan, the m=2, D=2 bound check and the resource preparation report.
 """
 
 import hashlib
@@ -25,8 +30,8 @@ sys.path[:0] = [os.path.join(TREE, "src"), os.path.join(TREE, "bench")]
 
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from mergekit import (kidecomp, locc, mergesplit, netcost, states,  # noqa: E402
-                      twoway)
+from mergekit import (kidecomp, locc, mergesplit, msize, netcost,  # noqa: E402
+                      states, twoway)
 from mergekit.qcore import Ket  # noqa: E402
 
 DIGESTS, COUNTS = {}, {}
@@ -133,6 +138,22 @@ def network_instances():
     mergesplit.merge_protocol = real
 
 
+def msize_results():
+    for p in range(workloads.ExactSearch.SCHEDULE_POOL):
+        schedule = workloads.pool_schedule(p)
+        out = msize.dynamic_simulate(msize.CONFIG_D1, schedule, seed=p)
+        for step in out["steps"]:
+            update("msize", *[x for k in sorted(step) for x in (k, step[k])])
+        update("msize", out["audit"], out["slots"],
+               sorted(out["rank_to_party"].items()),
+               sorted(out["diagnostics"].items()), out["state"].dims,
+               out["state"].amps)
+    for rep in (msize.permutation_scan(msize.default_circuit()),
+                msize.bipartite_bound_check(2, 2),
+                msize.verify_resource_preparation()):
+        update("msize", sorted(rep.items()))
+
+
 n_states = 0
 for seed in (1903, 9655):
     batch = workloads.MergeBatch(seed, None)
@@ -150,6 +171,7 @@ merge_case(inst.psi, sender_only=not QUICK, split=False)
 update("twoway", sorted(twoway.verify_one_way(inst).items()))
 if not QUICK:
     network_instances()
+msize_results()
 out = {k: [COUNTS[k], h.hexdigest()] for k, h in sorted(DIGESTS.items())}
 out["states"] = n_states
 with open(OUT, "w") as f:
